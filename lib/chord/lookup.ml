@@ -45,11 +45,16 @@ let find ring ~rt ~avail ?(accept = fun _ -> true) ?max_hops ~from ~id () =
         in
         first 0
       in
-      if s0 >= 0 && Id.in_oc cid (Ring.id ring s0) id then begin
-        (* [cur] believes the key falls to its successor list: the entries
-           are exactly the believed replica chain, walked in order; if none
-           is contactable and accepted, the lookup fails here *)
+      let owns = cid = id in
+      if owns || (s0 >= 0 && Id.in_oc cid (Ring.id ring s0) id) then begin
+        (* [cur] owns the key itself (its id is the target: the interval
+           below is open there), or believes the key falls to its successor
+           list.  An owner serves under [accept] without a contact; then
+           the successor entries are exactly the believed replica chain,
+           walked in order; if none is contactable and accepted, the lookup
+           fails here *)
         progressing := false;
+        if owns && accept !cur then raise (Done !cur);
         Array.iter
           (fun cand ->
             if cand >= 0 && budget_left () && contact cand && accept cand then

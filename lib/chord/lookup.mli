@@ -9,7 +9,9 @@
     fingers are unknown or dead: the successor entries are always in the
     candidate list, just tried last.  Once the current node believes the
     target falls to its successor list, the entries are tried in order
-    (replica walking) until one is contactable and [accept]ed. *)
+    (replica walking) until one is contactable and [accept]ed.  A node
+    whose own id is the target owns it: it serves the request itself if
+    [accept]ed, and otherwise walks its successor list the same way. *)
 
 type outcome = {
   ok : bool;
