@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke smoke
+.PHONY: all build test qcheck-soak bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke smoke
 
 all: build
 
@@ -9,6 +9,29 @@ build:
 
 test:
 	dune runtest
+
+# Property tests run from a fixed seed (Testutil.qcheck), so tier-1 is
+# deterministic.  This target explores instead: it reruns every property
+# under SEEDS fresh random seeds and prints each seed that fails, which
+# QCHECK_SEED=<seed> then replays.  The properties live in the alcotest
+# groups matched by QCHECK_GROUPS.
+SEEDS ?= 20
+QCHECK_GROUPS = ^(properties|id|lookup|scenario)$$
+qcheck-soak:
+	dune build
+	@failed=0; \
+	for i in $$(seq 1 $(SEEDS)); do \
+	  seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
+	  for t in $$(grep -l Testutil.qcheck test/test_*.ml); do \
+	    name=$$(basename $$t .ml); \
+	    QCHECK_SEED=$$seed _build/default/test/$$name.exe \
+	      test '$(QCHECK_GROUPS)' > /dev/null 2>&1 \
+	      || { echo "qcheck-soak: $$name fails with QCHECK_SEED=$$seed"; \
+	           failed=1; }; \
+	  done; \
+	done; \
+	if [ $$failed = 0 ]; then echo "qcheck-soak: $(SEEDS) seeds passed"; fi; \
+	exit $$failed
 
 bench:
 	dune exec bench/main.exe -- all

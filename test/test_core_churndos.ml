@@ -295,7 +295,7 @@ let test_starved_window_reported () =
 (* ---------- properties ---------- *)
 
 let qcheck_tree_split_preserves_cover =
-  QCheck.Test.make ~name:"random splits/merges preserve coverage" ~count:50
+  Testutil.qcheck ~name:"random splits/merges preserve coverage" ~count:50
     QCheck.(pair int64 (int_range 1 40))
     (fun (seed, ops) ->
       let r = Prng.Stream.of_seed seed in
@@ -312,7 +312,7 @@ let qcheck_tree_split_preserves_cover =
       Sm.covers t)
 
 let qcheck_windows_keep_lemma18 =
-  QCheck.Test.make ~name:"windows maintain Lemma 18 invariants" ~count:5
+  Testutil.qcheck ~name:"windows maintain Lemma 18 invariants" ~count:5
     QCheck.(pair int64 (int_range 512 2048))
     (fun (seed, n) ->
       let s = Prng.Stream.of_seed seed in
@@ -375,6 +375,5 @@ let () =
             test_starved_window_reported;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ qcheck_tree_split_preserves_cover; qcheck_windows_keep_lemma18 ] );
+        [ qcheck_tree_split_preserves_cover; qcheck_windows_keep_lemma18 ] );
     ]

@@ -327,7 +327,7 @@ let test_exponential_separation_hypercube () =
 (* ---------- properties ---------- *)
 
 let qcheck_schedule_monotone =
-  QCheck.Test.make ~name:"m_i schedules strictly decrease" ~count:100
+  Testutil.qcheck ~name:"m_i schedules strictly decrease" ~count:100
     QCheck.(triple (float_range 0.1 1.0) (float_range 1.0 8.0) (int_range 16 100_000))
     (fun (eps, c, n) ->
       let s = Core.Params.schedule_hgraph ~eps ~c ~n ~t:5 in
@@ -338,7 +338,7 @@ let qcheck_schedule_monotone =
       !ok && s.(5) >= 1)
 
 let qcheck_samples_in_range =
-  QCheck.Test.make ~name:"all rapid H-graph samples are valid node ids"
+  Testutil.qcheck ~name:"all rapid H-graph samples are valid node ids"
     ~count:10
     QCheck.(pair int64 (int_range 64 512))
     (fun (seed, n) ->
@@ -461,6 +461,5 @@ let () =
             test_retry_policy_validation;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ qcheck_schedule_monotone; qcheck_samples_in_range ] );
+        [ qcheck_schedule_monotone; qcheck_samples_in_range ] );
     ]

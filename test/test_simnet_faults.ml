@@ -274,7 +274,7 @@ let test_invariants_connectivity () =
 (* ---------- properties ---------- *)
 
 let qcheck_drop_conservation =
-  QCheck.Test.make ~name:"drop plan: delivered + dropped = sent" ~count:50
+  Testutil.qcheck ~name:"drop plan: delivered + dropped = sent" ~count:50
     QCheck.(pair int64 (int_range 2 12))
     (fun (seed, n) ->
       let plan = Simnet.Faults.make ~drop:0.25 ~seed () in
@@ -337,5 +337,5 @@ let () =
             test_invariants_connectivity;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_drop_conservation ] );
+        [ qcheck_drop_conservation ] );
     ]

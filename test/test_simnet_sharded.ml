@@ -91,9 +91,14 @@ let qcheck_domains_and_shards_invariant =
     let* rounds = int_range 2 10 in
     return (plan, n, rounds)
   in
-  QCheck.Test.make
+  Testutil.qcheck
     ~name:"sharded engine: (shard_bits, domains) never change a faulted run"
-    ~count:25 (QCheck.make case_gen) (fun (plan, n, rounds) ->
+    ~count:25
+    (QCheck.make
+       ~print:(fun (plan, n, rounds) ->
+         Printf.sprintf "faults=%s n=%d rounds=%d"
+           (Simnet.Faults.to_spec plan) n rounds)
+       case_gen) (fun (plan, n, rounds) ->
       (* Reference: the unsharded layout (one shard, one domain). *)
       let ref_bytes, ref_losses, ref_log =
         traced_run ~faults:plan ~shard_bits:14 ~domains:1 ~n ~rounds ()
@@ -378,6 +383,5 @@ let () =
             test_runtime_domains_inherited;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ qcheck_domains_and_shards_invariant ] );
+        [ qcheck_domains_and_shards_invariant ] );
     ]

@@ -384,8 +384,8 @@ let scenario_gen =
     }
 
 let qcheck_scenario_roundtrip =
-  QCheck.Test.make ~name:"Scenario.to_spec/parse round-trip" ~count:300
-    (QCheck.make scenario_gen) (fun sc ->
+  Testutil.qcheck ~name:"Scenario.to_spec/parse round-trip" ~count:300
+    (QCheck.make ~print:Simnet.Scenario.to_spec scenario_gen) (fun sc ->
       match Simnet.Scenario.parse (Simnet.Scenario.to_spec sc) with
       | Ok sc' -> sc' = sc
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
@@ -458,9 +458,11 @@ let () =
             test_spec_rejects_bad_base_key;
         ] );
       ( "scenario",
-        Alcotest.test_case "faults spec round-trips" `Quick
-          test_scenario_roundtrip_with_faults
-        :: List.map QCheck_alcotest.to_alcotest [ qcheck_scenario_roundtrip ] );
+        [
+          Alcotest.test_case "faults spec round-trips" `Quick
+            test_scenario_roundtrip_with_faults;
+          qcheck_scenario_roundtrip;
+        ] );
       ( "agg",
         [
           Alcotest.test_case "bench merge order-independent" `Quick
