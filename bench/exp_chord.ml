@@ -54,45 +54,16 @@ let cells =
   | Ok cells -> cells
   | Error e -> failwith e
 
-(* Seed from the cell id with the backend binding stripped: paired cells
-   (same environment, different backend) get identical workload schedules
-   and environment draws, so the backends face the very same requests. *)
-let paired_seed (cell : Sweep.Grid.cell) =
-  let env_id =
-    cell.Sweep.Grid.id |> String.split_on_char ';'
-    |> List.filter (fun s -> not (String.starts_with ~prefix:"backend=" s))
-    |> String.concat ";"
-  in
-  Sweep.Grid.seed_of ~sweep:"e19" env_id
-
 let run_cell (cell : Sweep.Grid.cell) =
   let sc = cell.Sweep.Grid.scenario in
   let churn = Sweep.Grid.float_binding cell "churn" in
   let drop = Sweep.Grid.float_binding cell "drop" in
-  let attack =
-    match sc.Simnet.Scenario.adversary with
-    | None -> Workload.Attack.No_attack
-    | Some s -> (
-        match Workload.Attack.parse_strategy s with
-        | Ok a -> a
-        | Error e -> invalid_arg e)
-  in
-  let backend =
-    match sc.Simnet.Scenario.backend with
-    | Some "chord" ->
-        Workload.Driver.Chord
-          {
-            Workload.Driver.fingers = sc.Simnet.Scenario.chord_fingers;
-            succs = sc.Simnet.Scenario.chord_succs;
-            period = sc.Simnet.Scenario.chord_period;
-          }
-    | _ -> Workload.Driver.Robust
-  in
+  let mode, backend, attack = Workload.Plane.decode sc in
   let faults =
     if drop > 0.0 then Some (Simnet.Faults.make ~drop ()) else None
   in
   let cfg =
-    Workload.Driver.config ~period ~backend ~attack ~frac:attack_frac
+    Workload.Driver.config ~mode ~period ~backend ~attack ~frac:attack_frac
       ~lateness:period
       ?churn:
         (if churn > 0.0 then
@@ -101,7 +72,9 @@ let run_cell (cell : Sweep.Grid.cell) =
       ?faults ~retries:sc.Simnet.Scenario.retry spec
   in
   let report =
-    Workload.Driver.run ~seed:(paired_seed cell) ~n:sc.Simnet.Scenario.n cfg
+    Workload.Driver.run
+      ~seed:(paired_seed ~sweep:"e19" cell)
+      ~n:sc.Simnet.Scenario.n cfg
   in
   let t = report.Workload.Driver.total in
   let row =

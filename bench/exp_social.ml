@@ -47,17 +47,6 @@ let cells =
   | Ok cells -> cells
   | Error e -> failwith e
 
-(* Seed from the cell id with the backend binding stripped: paired cells
-   (same environment, different configuration) get identical schedules,
-   session cycles, and environment draws. *)
-let paired_seed (cell : Sweep.Grid.cell) =
-  let env_id =
-    cell.Sweep.Grid.id |> String.split_on_char ';'
-    |> List.filter (fun s -> not (String.starts_with ~prefix:"backend=" s))
-    |> String.concat ";"
-  in
-  Sweep.Grid.seed_of ~sweep:"e20" env_id
-
 let slo_frac (c : Workload.Driver.class_report) =
   if c.Workload.Driver.issued = 0 then 1.0
   else
@@ -66,27 +55,7 @@ let slo_frac (c : Workload.Driver.class_report) =
 
 let run_cell (cell : Sweep.Grid.cell) =
   let sc = cell.Sweep.Grid.scenario in
-  let attack =
-    match sc.Simnet.Scenario.adversary with
-    | None -> Workload.Attack.No_attack
-    | Some s -> (
-        match Workload.Attack.parse_strategy s with
-        | Ok a -> a
-        | Error e -> invalid_arg e)
-  in
-  let mode, backend =
-    match sc.Simnet.Scenario.backend with
-    | Some "chord" ->
-        ( Workload.Driver.Reconfig,
-          Workload.Driver.Chord
-            {
-              Workload.Driver.fingers = sc.Simnet.Scenario.chord_fingers;
-              succs = sc.Simnet.Scenario.chord_succs;
-              period = sc.Simnet.Scenario.chord_period;
-            } )
-    | Some "static" -> (Workload.Driver.Static, Workload.Driver.Robust)
-    | _ -> (Workload.Driver.Reconfig, Workload.Driver.Robust)
-  in
+  let mode, backend, attack = Workload.Plane.decode sc in
   let app =
     Apps.Social.config ~users ~rounds ?topics:sc.Simnet.Scenario.topics
       ?fanout:sc.Simnet.Scenario.fanout ?session:sc.Simnet.Scenario.session ()
@@ -96,9 +65,11 @@ let run_cell (cell : Sweep.Grid.cell) =
       ~lateness:period app
   in
   let report =
-    Workload.Social.run ~seed:(paired_seed cell) ~n:sc.Simnet.Scenario.n cfg
+    Workload.Social.run
+      ~seed:(paired_seed ~sweep:"e20" cell)
+      ~n:sc.Simnet.Scenario.n cfg
   in
-  let classes = report.Workload.Social.classes in
+  let classes = report.Workload.Plane.classes in
   let classes_ok =
     List.length (List.filter (fun c -> slo_frac c >= slo_held_frac) classes)
   in
@@ -121,13 +92,13 @@ let run_cell (cell : Sweep.Grid.cell) =
     @ List.map packed classes
     @ [
         int_c classes_ok;
-        int_c report.Workload.Social.total_bits;
+        int_c report.Workload.Plane.total_bits;
       ]
   in
   let bench =
     {
       Sweep.Agg.rounds;
-      total_bits = report.Workload.Social.total_bits;
+      total_bits = report.Workload.Plane.total_bits;
       max_node_bits = 0;
     }
   in

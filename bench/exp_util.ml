@@ -9,6 +9,17 @@ let seed_for label trial =
 
 let rng_for label trial = Prng.Stream.of_seed (seed_for label trial)
 
+(* Seed from the cell id with the backend binding stripped: paired cells
+   (same environment, different backend) get identical schedules and
+   environment draws, so the backends face the very same requests. *)
+let paired_seed ~sweep (cell : Sweep.Grid.cell) =
+  let env_id =
+    cell.Sweep.Grid.id |> String.split_on_char ';'
+    |> List.filter (fun s -> not (String.starts_with ~prefix:"backend=" s))
+    |> String.concat ";"
+  in
+  Sweep.Grid.seed_of ~sweep env_id
+
 let ns_pow2 lo hi = List.init (hi - lo + 1) (fun i -> 1 lsl (lo + i))
 
 let mean_of_int_list l =

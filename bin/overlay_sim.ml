@@ -160,6 +160,18 @@ let domains_opt (sc : Simnet.Scenario.t) =
   if sc.Simnet.Scenario.domains <= 0 then None
   else Some sc.Simnet.Scenario.domains
 
+(* A converter from a library's own parser and printer, so a bad value is
+   reported in the library's wording. *)
+let string_conv parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      fun fmt v -> Format.pp_print_string fmt (print v) )
+
+let rounds_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
+
 (* ---------- sample ---------- *)
 
 let sample_cmd =
@@ -827,45 +839,128 @@ let dht_cmd =
     (Cmd.info "dht" ~doc:(subcommand_doc "dht"))
     Term.(const run $ n_arg 2048 $ ops_arg $ k_arg $ frac_arg $ seed_arg $ verbose_term)
 
-(* ---------- workload ---------- *)
+(* ---------- request plane: workload and social ---------- *)
+
+(* The plane flags both request-plane subcommands share, decoded by
+   Workload.Plane.decode — the same decoder sweep and bench cells use. *)
+type plane_flags = {
+  mode : Workload.Plane.mode;
+  backend : Workload.Plane.backend;
+  attack : Workload.Attack.strategy;
+  frac : float;
+  lateness : int option;
+  period : int;
+}
+
+let plane_term =
+  let attack_conv =
+    string_conv Workload.Attack.parse_strategy
+      Workload.Attack.strategy_to_string
+  in
+  let attack_arg =
+    Arg.(
+      value
+      & opt attack_conv Workload.Attack.No_attack
+      & info [ "attack" ] ~docv:"S"
+          ~doc:"Adversary: none, random, or group-kill.")
+  in
+  let frac_arg =
+    Arg.(
+      value & opt float 0.1
+      & info [ "frac" ] ~docv:"F"
+          ~doc:"Fraction of servers the adversary blocks per round.")
+  in
+  let static_arg =
+    Arg.(
+      value & flag
+      & info [ "static" ]
+          ~doc:
+            "Never reconfigure (the static baseline the paper's networks are \
+             measured against).")
+  in
+  let period_arg =
+    Arg.(
+      value & opt int 8
+      & info [ "period" ] ~docv:"P" ~doc:"Reconfiguration period in rounds.")
+  in
+  let backend_arg =
+    Arg.(
+      value & opt string "reconfig"
+      & info [ "backend" ] ~docv:"B"
+          ~doc:
+            "Overlay backend serving the requests: $(b,reconfig) (the \
+             paper's reconfigurable supernode DHT) or $(b,chord) \
+             (iterative Chord lookups under the same request plane).")
+  in
+  let chord_knob_arg name doc =
+    Arg.(value & opt int (-1) & info [ name ] ~docv:"K" ~doc)
+  in
+  let chord_fingers_arg =
+    chord_knob_arg "chord-fingers"
+      "Chord finger-table length (-1 = the id-space width m)."
+  in
+  let chord_succs_arg =
+    chord_knob_arg "chord-succs"
+      "Chord successor-list length (-1 = the backend default)."
+  in
+  let chord_period_arg =
+    chord_knob_arg "chord-period"
+      "Chord maintenance period in rounds (-1 = the --period value)."
+  in
+  let flags attack frac lateness static period backend fingers succs cperiod =
+    let knob v = if v = -1 then None else Some v in
+    let sc =
+      {
+        Simnet.Scenario.default with
+        adversary = Some (Workload.Attack.strategy_to_string attack);
+        backend = Some backend;
+        chord_fingers = knob fingers;
+        chord_succs = knob succs;
+        chord_period = knob cperiod;
+      }
+    in
+    let mode, backend, attack =
+      or_usage_error (fun () -> Workload.Plane.decode ~static sc)
+    in
+    {
+      mode;
+      backend;
+      attack;
+      frac;
+      lateness = (if lateness < 0 then None else Some lateness);
+      period;
+    }
+  in
+  Term.(
+    const flags $ attack_arg $ frac_arg $ lateness_arg $ static_arg
+    $ period_arg $ backend_arg $ chord_fingers_arg $ chord_succs_arg
+    $ chord_period_arg)
+
+(* The report layout both subcommands share.  Only the chord backend
+   prints a marker line, so the reconfig goldens stay byte-identical. *)
+let print_plane_report pf ~n ~lateness ~header ~extra report =
+  (match pf.backend with
+  | Workload.Plane.Robust -> ()
+  | Workload.Plane.Chord _ -> print_string "backend: chord\n");
+  print_endline header;
+  Printf.printf "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d%s\n\n"
+    n
+    (match pf.mode with
+    | Workload.Plane.Static -> "static"
+    | Workload.Plane.Reconfig -> "reconfig")
+    pf.period
+    (Workload.Attack.strategy_to_string pf.attack)
+    pf.frac lateness extra;
+  List.iter print_endline (Workload.Plane.table_lines report);
+  Printf.printf "\nhop messages:   %d\n" report.Workload.Plane.hop_msgs;
+  Printf.printf "max group load: %d\n" report.Workload.Plane.max_group_load
 
 let workload_cmd =
   let arrivals_conv =
-    let parse s =
-      match Workload.Spec.parse_arrivals s with
-      | Ok a -> Ok a
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Spec.arrivals_to_string a) )
+    string_conv Workload.Spec.parse_arrivals Workload.Spec.arrivals_to_string
   in
   let mix_conv =
-    let parse s =
-      match Workload.Spec.parse_mix s with
-      | Ok m -> Ok m
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt m -> Format.pp_print_string fmt (Workload.Spec.mix_to_string m)
-      )
-  in
-  let attack_conv =
-    let parse s =
-      match Workload.Attack.parse_strategy s with
-      | Ok a -> Ok a
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Attack.strategy_to_string a) )
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 48 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
+    string_conv Workload.Spec.parse_mix Workload.Spec.mix_to_string
   in
   let clients_arg =
     Arg.(
@@ -913,19 +1008,6 @@ let workload_cmd =
       & info [ "timeout" ] ~docv:"T"
           ~doc:"Rounds after arrival before a request is abandoned.")
   in
-  let attack_arg =
-    Arg.(
-      value
-      & opt attack_conv Workload.Attack.No_attack
-      & info [ "attack" ] ~docv:"S"
-          ~doc:"Adversary: none, random, or group-kill.")
-  in
-  let wfrac_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "frac" ] ~docv:"F"
-          ~doc:"Fraction of servers the adversary blocks per round.")
-  in
   let churn_arg =
     Arg.(
       value & opt float 0.0
@@ -937,51 +1019,11 @@ let workload_cmd =
       value & opt int 8
       & info [ "churn-epoch" ] ~docv:"E" ~doc:"Churn epoch length in rounds.")
   in
-  let static_arg =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Never reconfigure (the static baseline the paper's networks are \
-             measured against).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "period" ] ~docv:"P" ~doc:"Reconfiguration period in rounds.")
-  in
-  let backend_arg =
-    Arg.(
-      value & opt string "reconfig"
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Overlay backend serving the requests: $(b,reconfig) (the \
-             paper's reconfigurable supernode DHT) or $(b,chord) \
-             (iterative Chord lookups under the same request plane).")
-  in
-  let chord_knob_arg name doc =
-    Arg.(value & opt int (-1) & info [ name ] ~docv:"K" ~doc)
-  in
-  let chord_fingers_arg =
-    chord_knob_arg "chord-fingers"
-      "Chord finger-table length (-1 = the id-space width m)."
-  in
-  let chord_succs_arg =
-    chord_knob_arg "chord-succs"
-      "Chord successor-list length (-1 = the backend default)."
-  in
-  let chord_period_arg =
-    chord_knob_arg "chord-period"
-      "Chord maintenance period in rounds (-1 = the --period value)."
-  in
-  let run sc rounds clients arrivals mix keys zipf slo timeout attack frac
-      lateness churn churn_epoch static period backend chord_fingers
-      chord_succs chord_period json () =
+  let run sc pf rounds clients arrivals mix keys zipf slo timeout churn
+      churn_epoch json () =
     let n = sc.Simnet.Scenario.n in
     let trace = Simnet.Scenario.trace_sink sc in
-    let faults = sc.Simnet.Scenario.faults in
     let wretry = sc.Simnet.Scenario.retry in
-    let seed = sc.Simnet.Scenario.seed in
     let popularity =
       if zipf <= 0.0 then Workload.Spec.Uniform else Workload.Spec.Zipf zipf
     in
@@ -989,62 +1031,35 @@ let workload_cmd =
       Workload.Spec.make ~clients ~rounds ~keys ~arrivals ~mix ~popularity ~slo
         ~timeout ()
     in
-    let backend =
-      match backend with
-      | "reconfig" -> Workload.Driver.Robust
-      | "chord" ->
-          let knob v = if v = -1 then None else Some v in
-          Workload.Driver.Chord
-            {
-              Workload.Driver.fingers = knob chord_fingers;
-              succs = knob chord_succs;
-              period = knob chord_period;
-            }
-      | other ->
-          Printf.eprintf "unknown backend %S (reconfig|chord)\n" other;
-          Stdlib.exit 2
-    in
     let cfg =
-      Workload.Driver.config
-        ~mode:(if static then Workload.Driver.Static else Workload.Driver.Reconfig)
-        ~period ~backend ~attack ~frac
-        ?lateness:(if lateness < 0 then None else Some lateness)
-        ?churn:
-          (if churn > 0.0 then
-             Some { Workload.Driver.frac = churn; epoch = churn_epoch }
-           else None)
-        ?faults ~retries:wretry
-        ?domains:(domains_opt sc)
-        spec
+      or_usage_error (fun () ->
+          Workload.Driver.config ~mode:pf.mode ~period:pf.period
+            ~backend:pf.backend ~attack:pf.attack ~frac:pf.frac
+            ?lateness:pf.lateness
+            ?churn:
+              (if churn > 0.0 then
+                 Some { Workload.Driver.frac = churn; epoch = churn_epoch }
+               else None)
+            ?faults:sc.Simnet.Scenario.faults ~retries:wretry
+            ?domains:(domains_opt sc) spec)
     in
     let report =
       or_usage_error (fun () ->
-          Workload.Driver.run ~trace ~seed:(Int64.of_int seed) ~n cfg)
+          Workload.Driver.run ~trace ~seed:(Int64.of_int sc.Simnet.Scenario.seed)
+            ~n cfg)
     in
     Simnet.Trace.close trace;
-    (* only the chord backend prints an extra line, so the reconfig
-       goldens stay byte-identical *)
-    (match backend with
-    | Workload.Driver.Robust -> ()
-    | Workload.Driver.Chord _ -> Printf.printf "backend: chord\n");
-    Printf.printf "workload: %s, mix %s, %d keys (%s)\n"
-      (Workload.Spec.arrivals_to_string arrivals)
-      (Workload.Spec.mix_to_string mix)
-      keys
-      (match popularity with
-      | Workload.Spec.Uniform -> "uniform"
-      | Workload.Spec.Zipf s -> Printf.sprintf "zipf %.2f" s);
-    Printf.printf
-      "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d churn=%.2f \
-       retry=%d\n\n"
-      n
-      (if static then "static" else "reconfig")
-      period
-      (Workload.Attack.strategy_to_string attack)
-      frac cfg.Workload.Driver.lateness churn wretry;
-    List.iter print_endline (Workload.Driver.table_lines report);
-    Printf.printf "\nhop messages:   %d\n" report.Workload.Driver.hop_msgs;
-    Printf.printf "max group load: %d\n" report.Workload.Driver.max_group_load;
+    print_plane_report pf ~n ~lateness:cfg.plane.lateness
+      ~header:
+        (Printf.sprintf "workload: %s, mix %s, %d keys (%s)"
+           (Workload.Spec.arrivals_to_string arrivals)
+           (Workload.Spec.mix_to_string mix)
+           keys
+           (match popularity with
+           | Workload.Spec.Uniform -> "uniform"
+           | Workload.Spec.Zipf s -> Printf.sprintf "zipf %.2f" s))
+      ~extra:(Printf.sprintf " churn=%.2f retry=%d" churn wretry)
+      report;
     if json then begin
       let t = report.Workload.Driver.total in
       Printf.printf
@@ -1065,26 +1080,11 @@ let workload_cmd =
     Term.(
       const run
       $ scenario_term ~default_n:1024 ()
-      $ rounds_arg $ clients_arg $ arrivals_arg $ mix_arg $ keys_arg
-      $ zipf_arg $ slo_arg $ timeout_arg $ attack_arg $ wfrac_arg
-      $ lateness_arg $ churn_arg $ churn_epoch_arg $ static_arg $ period_arg
-      $ backend_arg $ chord_fingers_arg $ chord_succs_arg $ chord_period_arg
-      $ json_term $ verbose_term)
-
-(* ---------- social ---------- *)
+      $ plane_term $ rounds_arg 48 $ clients_arg $ arrivals_arg $ mix_arg
+      $ keys_arg $ zipf_arg $ slo_arg $ timeout_arg $ churn_arg
+      $ churn_epoch_arg $ json_term $ verbose_term)
 
 let social_cmd =
-  let attack_conv =
-    let parse s =
-      match Workload.Attack.parse_strategy s with
-      | Ok a -> Ok a
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Attack.strategy_to_string a) )
-  in
   let users_arg =
     Arg.(
       value & opt int 64 & info [ "users" ] ~docv:"U" ~doc:"Application users.")
@@ -1093,10 +1093,6 @@ let social_cmd =
     Arg.(
       value & opt int 16
       & info [ "topics" ] ~docv:"T" ~doc:"Subreddit-like topics.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 48 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
   in
   let rate_arg =
     Arg.(
@@ -1126,60 +1122,8 @@ let social_cmd =
              fraction of users goes offline, and the same fraction of \
              servers churns out (default: everyone always online).")
   in
-  let attack_arg =
-    Arg.(
-      value
-      & opt attack_conv Workload.Attack.No_attack
-      & info [ "attack" ] ~docv:"S"
-          ~doc:"Adversary: none, random, or group-kill.")
-  in
-  let sfrac_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "frac" ] ~docv:"F"
-          ~doc:"Fraction of servers the adversary blocks per round.")
-  in
-  let static_arg =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Never reconfigure (the static baseline the paper's networks are \
-             measured against).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "period" ] ~docv:"P" ~doc:"Reconfiguration period in rounds.")
-  in
-  let backend_arg =
-    Arg.(
-      value & opt string "reconfig"
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Overlay backend serving the requests: $(b,reconfig) or \
-             $(b,chord).")
-  in
-  let chord_knob_arg name doc =
-    Arg.(value & opt int (-1) & info [ name ] ~docv:"K" ~doc)
-  in
-  let chord_fingers_arg =
-    chord_knob_arg "chord-fingers"
-      "Chord finger-table length (-1 = the id-space width m)."
-  in
-  let chord_succs_arg =
-    chord_knob_arg "chord-succs"
-      "Chord successor-list length (-1 = the backend default)."
-  in
-  let chord_period_arg =
-    chord_knob_arg "chord-period"
-      "Chord maintenance period in rounds (-1 = the --period value)."
-  in
-  let run sc users topics rounds rate fanout zipf session attack frac lateness
-      staleness static period backend chord_fingers chord_succs chord_period
-      json () =
+  let run sc pf users topics rounds rate fanout zipf session staleness json () =
     let n = sc.Simnet.Scenario.n in
-    let seed = sc.Simnet.Scenario.seed in
     let trace = Simnet.Scenario.trace_sink sc in
     (* the session flag reuses the scenario key's parser (and its error
        wording) so CLI and sweep specs cannot drift *)
@@ -1198,29 +1142,11 @@ let social_cmd =
           Apps.Social.config ~users ~topics ~rounds ~rate ~fanout ~zipf
             ?session ())
     in
-    let backend =
-      match backend with
-      | "reconfig" -> Workload.Driver.Robust
-      | "chord" ->
-          let knob v = if v = -1 then None else Some v in
-          Workload.Driver.Chord
-            {
-              Workload.Driver.fingers = knob chord_fingers;
-              succs = knob chord_succs;
-              period = knob chord_period;
-            }
-      | other ->
-          Printf.eprintf "unknown backend %S (reconfig|chord)\n" other;
-          Stdlib.exit 2
-    in
     let cfg =
       or_usage_error (fun () ->
-          Workload.Social.config
-            ~mode:
-              (if static then Workload.Driver.Static
-               else Workload.Driver.Reconfig)
-            ~period ~backend ~attack ~frac
-            ?lateness:(if lateness < 0 then None else Some lateness)
+          Workload.Social.config ~mode:pf.mode ~period:pf.period
+            ~backend:pf.backend ~attack:pf.attack ~frac:pf.frac
+            ?lateness:pf.lateness
             ?staleness:(parse_staleness staleness)
             ?faults:sc.Simnet.Scenario.faults
             ?domains:(domains_opt sc)
@@ -1228,41 +1154,32 @@ let social_cmd =
     in
     let report =
       or_usage_error (fun () ->
-          Workload.Social.run ~trace ~seed:(Int64.of_int seed) ~n cfg)
+          Workload.Social.run ~trace ~seed:(Int64.of_int sc.Simnet.Scenario.seed)
+            ~n cfg)
     in
     Simnet.Trace.close trace;
-    (match backend with
-    | Workload.Driver.Robust -> ()
-    | Workload.Driver.Chord _ -> Printf.printf "backend: chord\n");
-    Printf.printf
-      "social: %d users, %d topics, fanout %d, rate %.2f, zipf %.2f, \
-       session %s\n"
-      users topics fanout rate zipf
-      (match session with
-      | None -> "-"
-      | Some (online, epoch) -> Printf.sprintf "%g:%d" online epoch);
-    Printf.printf "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d\n\n"
-      n
-      (if static then "static" else "reconfig")
-      period
-      (Workload.Attack.strategy_to_string attack)
-      frac cfg.Workload.Social.lateness;
-    List.iter print_endline (Workload.Social.table_lines report);
-    Printf.printf "\nhop messages:   %d\n" report.Workload.Social.hop_msgs;
-    Printf.printf "max group load: %d\n" report.Workload.Social.max_group_load;
+    print_plane_report pf ~n ~lateness:cfg.plane.lateness
+      ~header:
+        (Printf.sprintf
+           "social: %d users, %d topics, fanout %d, rate %.2f, zipf %.2f, \
+            session %s"
+           users topics fanout rate zipf
+           (match session with
+           | None -> "-"
+           | Some (online, epoch) -> Printf.sprintf "%g:%d" online epoch))
+      ~extra:"" report;
     if json then begin
       let cls c =
         Printf.sprintf
           {|"%s":{"issued":%d,"ok":%d,"goodput":%.4f,"p99":%d,"slo_miss":%d}|}
-          c.Workload.Driver.cls c.Workload.Driver.issued c.Workload.Driver.ok
-          (Workload.Driver.goodput c)
-          (Workload.Driver.percentile c 0.99)
-          c.Workload.Driver.slo_miss
+          c.Workload.Plane.cls c.Workload.Plane.issued c.Workload.Plane.ok
+          (Workload.Plane.goodput c)
+          (Workload.Plane.percentile c 0.99)
+          c.Workload.Plane.slo_miss
       in
       Printf.printf {|{"cmd":"social","n":%d,%s,%s}|} n
-        (String.concat ","
-           (List.map cls report.Workload.Social.classes))
-        (cls report.Workload.Social.total);
+        (String.concat "," (List.map cls report.Workload.Plane.classes))
+        (cls report.Workload.Plane.total);
       print_newline ()
     end
   in
@@ -1271,19 +1188,13 @@ let social_cmd =
     Term.(
       const run
       $ scenario_term ~default_n:1024 ()
-      $ users_arg $ topics_arg $ rounds_arg $ rate_arg $ fanout_arg
-      $ zipf_arg $ session_arg $ attack_arg $ sfrac_arg $ lateness_arg
-      $ staleness_arg $ static_arg $ period_arg $ backend_arg
-      $ chord_fingers_arg $ chord_succs_arg $ chord_period_arg
-      $ json_term $ verbose_term)
+      $ plane_term $ users_arg $ topics_arg $ rounds_arg 48 $ rate_arg
+      $ fanout_arg $ zipf_arg $ session_arg $ staleness_arg $ json_term
+      $ verbose_term)
 
 (* ---------- chord ---------- *)
 
 let chord_cmd =
-  let rounds_arg =
-    Arg.(
-      value & opt int 64 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
-  in
   let keys_arg =
     Arg.(
       value & opt int 256 & info [ "keys" ] ~docv:"K" ~doc:"Distinct keys.")
@@ -1389,7 +1300,7 @@ let chord_cmd =
     Term.(
       const run
       $ scenario_term ~default_n:256 ()
-      $ rounds_arg $ keys_arg $ lookups_arg $ zipf_arg $ attack_arg
+      $ rounds_arg 64 $ keys_arg $ lookups_arg $ zipf_arg $ attack_arg
       $ cfrac_arg $ lateness_arg $ staleness_arg $ churn_arg $ churn_epoch_arg
       $ fingers_arg $ succs_arg $ period_arg $ json_term $ verbose_term)
 
@@ -1551,14 +1462,7 @@ let sweep_run_social ~trace (cell : Sweep.Grid.cell) =
   | None | Some "social" -> ()
   | Some other ->
       invalid_arg (Printf.sprintf "run=social cannot serve app=%s" other));
-  let attack =
-    match sc.Simnet.Scenario.adversary with
-    | None -> Workload.Attack.No_attack
-    | Some s -> (
-        match Workload.Attack.parse_strategy s with
-        | Ok a -> a
-        | Error e -> invalid_arg e)
-  in
+  let mode, backend, attack = Workload.Plane.decode sc in
   let rounds =
     if sc.Simnet.Scenario.rounds < 0 then 48 else sc.Simnet.Scenario.rounds
   in
@@ -1578,19 +1482,6 @@ let sweep_run_social ~trace (cell : Sweep.Grid.cell) =
       ?topics:sc.Simnet.Scenario.topics ?fanout:sc.Simnet.Scenario.fanout
       ?session:sc.Simnet.Scenario.session ()
   in
-  let mode, backend =
-    match sc.Simnet.Scenario.backend with
-    | Some "chord" ->
-        ( Workload.Driver.Reconfig,
-          Workload.Driver.Chord
-            {
-              Workload.Driver.fingers = sc.Simnet.Scenario.chord_fingers;
-              succs = sc.Simnet.Scenario.chord_succs;
-              period = sc.Simnet.Scenario.chord_period;
-            } )
-    | Some "static" -> (Workload.Driver.Static, Workload.Driver.Robust)
-    | _ -> (Workload.Driver.Reconfig, Workload.Driver.Robust)
-  in
   let cfg =
     Workload.Social.config ~mode ~period ~backend ~attack
       ~frac:sc.Simnet.Scenario.frac
@@ -1605,21 +1496,18 @@ let sweep_run_social ~trace (cell : Sweep.Grid.cell) =
     Workload.Social.run ~trace ~seed:cell.Sweep.Grid.seed
       ~n:sc.Simnet.Scenario.n cfg
   in
-  let per_class c =
+  let per_class (c : Workload.Plane.class_report) =
     [
-      ( c.Workload.Driver.cls ^ "_goodput",
-        Simnet.Trace.Float (Workload.Driver.goodput c) );
-      ( c.Workload.Driver.cls ^ "_p99",
-        Simnet.Trace.Int (Workload.Driver.percentile c 0.99) );
+      (c.cls ^ "_goodput", Simnet.Trace.Float (Workload.Plane.goodput c));
+      (c.cls ^ "_p99", Simnet.Trace.Int (Workload.Plane.percentile c 0.99));
     ]
   in
-  List.concat_map per_class r.Workload.Social.classes
+  List.concat_map per_class r.classes
   @ [
-      ( "goodput",
-        Simnet.Trace.Float (Workload.Driver.goodput r.Workload.Social.total) );
-      ("slo_miss", Simnet.Trace.Int r.Workload.Social.total.Workload.Driver.slo_miss);
-      ("hop_msgs", Simnet.Trace.Int r.Workload.Social.hop_msgs);
-      ("total_bits", Simnet.Trace.Int r.Workload.Social.total_bits);
+      ("goodput", Simnet.Trace.Float (Workload.Plane.goodput r.total));
+      ("slo_miss", Simnet.Trace.Int r.total.slo_miss);
+      ("hop_msgs", Simnet.Trace.Int r.hop_msgs);
+      ("total_bits", Simnet.Trace.Int r.total_bits);
     ]
 
 let sweep_runner = function
@@ -1689,9 +1577,10 @@ let sweep_cmd =
       "Grid spec string, e.g. \
        $(b,sweep=demo;run=sample;axis:n=64|128;var:c=1.5|2).  Segments \
        separated by ';': $(b,sweep=NAME) names the sweep, $(b,run=R) picks \
-       the per-cell runner (sample|churn), $(b,axis:KEY=v1|v2|...) adds a \
-       scenario axis, $(b,var:KEY=v1|v2|...) a free axis the runner reads, \
-       and any other KEY=VALUE sets the base scenario.  See docs/sweeps.md."
+       the per-cell runner (sample|churn|stabilize|chord|social), \
+       $(b,axis:KEY=v1|v2|...) adds a scenario axis, $(b,var:KEY=v1|v2|...) \
+       a free axis the runner reads, and any other KEY=VALUE sets the base \
+       scenario.  See docs/sweeps.md."
     in
     Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"SPEC" ~doc)
   in

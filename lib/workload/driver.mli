@@ -1,87 +1,35 @@
-(** Round-by-round workload execution against the robust DHT / pub-sub
-    stack, under the full hostile environment: reconfiguration (or a static
-    baseline), a t-late blocking adversary ({!Attack}), coarse churn, and
-    ordinary faults ({!Simnet.Faults}).
+(** The §7 client workload against the robust DHT / pub-sub stack (or any
+    other {!Backend_intf.S}): a {!Plane} policy.
 
-    Time is rounds.  Each round the driver (1) reshuffles the network if the
-    reconfiguration period elapsed, (2) redraws the churned-out server set at
-    epoch boundaries, (3) applies scheduled crash/recover transitions,
-    (4) lets the adversary observe and spend its blocking budget, (5) admits
-    new arrivals, and (6) gives every pending request one service attempt.
+    Requests come from an open-loop schedule ({!Gen.open_schedule}) or from
+    closed-loop clients that keep one request outstanding and think
+    between completions.  Every class (read, write, publish) shares the
+    spec's SLO and timeout and the config's retry budget.  An attempt
+    costs [1 + hops] service rounds per DHT operation (a publish is three
+    chained operations: counter read, payload write, counter write, and is
+    idempotent under retry because the counter is written last).  Churn is
+    the coarse [churn] plan: every [epoch] rounds a fresh [frac * n]
+    servers are down for the epoch.
 
-    An attempt costs [1 + hops] service rounds per DHT operation (a publish
-    is three chained operations: counter read, payload write, counter
-    write, and is idempotent under retry because the counter is written
-    last).  A failed attempt retries next round until the retry budget is
-    spent (["failed"]) or the next attempt would start past
-    [arrival + timeout] (["timeout"]).  Latency of a served request is
-    (attempt round - arrival) + service rounds; it misses the SLO when it
-    exceeds [spec.slo].  Served latencies feed one {!Stats.Log_histogram}
-    per request class, merged into the overall histogram with
-    {!Stats.Log_histogram.merge}.
+    Determinism: per-client request streams ({!Gen.client_stream}) and the
+    plane's [(seed, purpose)] streams, so a run is byte-identical for any
+    [domains] value (the only parallel part, open-loop schedule
+    generation, is keyed per client). *)
 
-    Determinism: every random decision draws from a stream that is a pure
-    function of [(seed, purpose)] — per-client request streams
-    ({!Gen.client_stream}), a service stream for entry picks, dedicated
-    churn/attack/topology streams, and the fault plan's own stream — so a
-    run is byte-identical for any [domains] value (the only parallel part,
-    open-loop schedule generation, is keyed per client). *)
-
-type mode = Backend_intf.mode = Reconfig | Static
+include module type of struct
+  include Plane.Overlay
+end
 
 type churn = { frac : float; epoch : int }
 (** Every [epoch] rounds, a fresh uniformly random [frac * n] servers are
     down for the whole epoch (coarse churn at the request-plane
     granularity). *)
 
-type chord_params = Backend_intf.chord_knobs = {
-  fingers : int option;
-  succs : int option;
-  period : int option;
-}
-(** Chord ring knobs; [None] takes the backend default
-    ({!Chord.Ring.default_succs}, fingers = [m], maintenance period =
-    the config [period]), resolved in one place — the Chord backend's
-    [create]. *)
-
-type backend = Robust | Chord of chord_params
-(** Which overlay serves the requests.  [Robust] is the paper's
-    reconfigurable supernode DHT.  [Chord of _] binds the same request
-    plane (admissions, retries, latency accounting) onto iterative Chord
-    lookups: [mode = Reconfig] runs one staggered {!Chord.Net.tick}
-    maintenance slice per round, [mode = Static] disables maintenance
-    (the ablation), [attack = Group_kill] becomes the stale-view
-    successor-list attack ({!Chord.Adversary.Succ_kill}), and a request
-    succeeds when its lookup is accepted by a true replica holder
-    ({!Chord.Ring.holds}).  Messages are charged per contact leg, so
-    iterative lookups pay request + reply where the robust path pays one
-    message per hop. *)
-
-val chord_defaults : chord_params
-(** All [None]: every knob at its backend default. *)
-
 type config = {
   spec : Spec.t;
-  k : int;  (** cube arity of the underlying DHT *)
-  mode : mode;
-  period : int;  (** reshuffle every [period] rounds (ignored by [Static]) *)
-  backend : backend;
-  attack : Attack.strategy;
-  frac : float;  (** adversary budget as a fraction of [n] *)
-  lateness : int;  (** adversary observation delay, in rounds *)
-  staleness : Simnet.Snapshots.staleness option;
-      (** per-round drawn observation delay, replacing [lateness] *)
   churn : churn option;
-  faults : Simnet.Faults.plan option;
-      (** applied in full through {!Simnet.Runtime}: drop/duplicate/delay
-          are rolled once per request leg and once per reply leg, and
-          crashed servers count as blocked until they recover.  Reorder
-          (vacuous on single-message legs) raises [Invalid_argument]. *)
   retries : int;  (** re-attempts allowed beyond the first *)
-  domains : int option;
-      (** worker domains for schedule generation and the runtime
-          ([None] = {!Parallel.default_domains}); results are identical
-          for every value *)
+  plane : Plane.config;
 }
 
 val config :
@@ -99,61 +47,18 @@ val config :
   ?domains:int ->
   Spec.t ->
   config
-(** Defaults: [k = 4], the [Robust] backend, [Reconfig] every
-    [period = 8] rounds, [No_attack] with [frac = 0.1] and
-    [lateness = period], no churn, no faults, no retries.  Raises
-    [Invalid_argument] on a non-positive period or arity, negative
-    retries or lateness, a churn fraction outside [0, 1) / non-positive
-    epoch, or a chord knob that is neither positive nor [-1]. *)
+(** The plane defaults ({!Plane.config}), no churn and no retries.  Raises
+    [Invalid_argument] on what {!Plane.config} rejects, negative retries,
+    or a churn fraction outside [0, 1) / non-positive epoch. *)
 
-type class_report = {
-  cls : string;  (** ["read"], ["write"], ["publish"] or ["all"] *)
-  issued : int;
-  ok : int;
-  slo_miss : int;  (** served, but later than [spec.slo] *)
-  timed_out : int;
-  failed : int;  (** retry budget exhausted *)
-  max_hops : int;  (** worst routing hops over served attempts *)
-  hist : Stats.Log_histogram.t;  (** served latencies, in rounds *)
-}
-
-val goodput : class_report -> float
-(** [ok / issued] (1.0 when nothing was issued). *)
-
-val percentile : class_report -> float -> int
-(** Latency percentile over served requests; 0 when nothing was served. *)
-
-val total_of : class_report list -> class_report
-(** Aggregate a class list into an ["all"] row; the histogram is the
-    {!Stats.Log_histogram.merge} of the class histograms (exact cell-wise
-    sums, so the merge order cannot matter). *)
-
-type report = {
-  config : config;
-  n : int;
-  classes : class_report list;  (** read, write, publish — in that order *)
-  total : class_report;
-      (** aggregate; its histogram is the {!Stats.Log_histogram.merge} of
-          the class histograms *)
-  hop_msgs : int;
-      (** total request-plane messages ([Robust]: 1 + hops per DHT
-          operation; [Chord]: contact legs across all lookups) *)
-  max_group_load : int;
-      (** busiest supernode's messages within a single round — the
-          congestion quantity of Theorem 8 (0 on the Chord backend,
-          which has no supernodes) *)
-  total_bits : int;
-      (** total message bits: request-plane traffic plus, on the Chord
-          backend, maintenance traffic (successor-list sized) *)
-}
+include module type of struct
+  include Plane.Report
+end
+(** Classes read, write, publish — in that order. *)
 
 val run : ?trace:Simnet.Trace.t -> seed:int64 -> n:int -> config -> report
-(** Execute the workload on a fresh [n]-server DHT.  Emits, when [trace] is
-    given: one [Note] run header, one [Round] per round (messages, bits,
-    busiest-node load, blocked-set size), one [Request] per request at
-    completion or abandonment, [Adversary]/[Fault] events for churn draws
-    and crash transitions.  Requests still pending when the run ends are
-    abandoned as timeouts at round [spec.rounds]. *)
+(** Execute the workload on a fresh [n]-server overlay chosen by
+    [cfg.plane.backend]; the trace header is a [workload/run] note. *)
 
 val run_backend :
   (module Backend_intf.S) ->
@@ -162,22 +67,5 @@ val run_backend :
   n:int ->
   config ->
   report
-(** [run] generalized over the overlay: the whole request plane
-    (admissions, retries, SLO/latency accounting, churn draws, fault legs,
-    round and trace emission) runs against any {!Backend_intf.S}, so new
-    overlays plug in without editing the driver.  [cfg.backend] is only
-    consulted for the Chord knobs ([ctx.chord]); the module argument
-    decides the overlay.  [run] is
-    [run_backend (module Backends.Robust)] / [(module Backends.Chord_ring)]. *)
-
-val table_lines : report -> string list
-(** The default per-class result table (fixed-width, one string per line,
-    no trailing newline) printed by [overlay_sim workload] and pinned by the
-    cram test. *)
-
-val table_header : string
-(** The table's header line, shared with any driver reporting
-    {!class_report} rows (e.g. {!Social}). *)
-
-val table_row : class_report -> string
-(** One formatted table row. *)
+(** [run] on the given overlay; [cfg.plane.backend] is then only consulted
+    for the Chord knobs ([ctx.chord]). *)

@@ -1,53 +1,32 @@
-(** Round-by-round execution of the Reddit-style composite application
-    ({!Apps.Social}) against any overlay backend ({!Backend_intf.S}),
-    under the full hostile environment: reconfiguration or a static
-    baseline, the t-late blocking adversary, session churn, and ordinary
-    faults.
+(** The Reddit-style composite application ({!Apps.Social}) as a {!Plane}
+    policy, on any overlay backend ({!Backend_intf.S}).
 
-    The request plane mirrors {!Driver.run_backend} (same stream split
-    order, same round structure, same fault legs) but accounts the five
-    social traffic classes separately: each class has its own arrival mix
-    share, its own retry/timeout budget and SLO ({!Apps.Social.budget}),
-    and its own {!Stats.Log_histogram}, reported per class and merged
-    overall with {!Stats.Log_histogram.merge}.  A request is a chain of
-    DHT operations (a post carries its repost fan-out); one attempt must
-    serve the whole chain, and its service time is the sum of the chain's
-    operation costs ([base_ops + hops + waits] each).
+    The five social traffic classes are accounted separately: each has its
+    own arrival mix share, its own retry/timeout budget and SLO
+    ({!Apps.Social.budget}), and its own {!Stats.Log_histogram}.  A
+    request is a chain of DHT operations (a post carries its repost
+    fan-out); one attempt must serve the whole chain, and its service time
+    is the sum of the chain's operation costs ([base_ops + hops + waits]
+    each).
 
-    The session cycle compiles onto the existing coarse-churn plan: with
+    The session cycle compiles onto the plane's coarse churn: with
     [session = (online, epoch)], every [epoch] rounds the offline users
     stop issuing (enforced at schedule generation) {e and} a fresh
-    [1 - online] fraction of servers is down for the epoch, drawn from the
-    churn stream exactly as {!Driver.run_backend} draws its churn set.
+    [1 - online] fraction of servers is down for the epoch.
 
     Tracing adds one span family, [social/*]: a [social/run] header note,
     a [social/session] note per churn epoch, and a [social/health] note
     (the backend's {!Backend_intf.S.health} probe) per reconfiguration
     period.  Requests are ordinary typed [Request] events whose [op]
-    field carries the class name.
+    field carries the class name. *)
 
-    Determinism: every decision draws from a [(seed, purpose)]-keyed
-    stream, so traces and reports are byte-identical for any [domains]. *)
-
-type config = {
-  app : Apps.Social.config;
-  k : int;  (** cube arity of the underlying DHT *)
-  mode : Driver.mode;
-  period : int;  (** reshuffle / health-probe period in rounds *)
-  backend : Driver.backend;
-  attack : Attack.strategy;
-  frac : float;  (** adversary budget as a fraction of [n] *)
-  lateness : int;  (** adversary observation delay, in rounds *)
-  staleness : Simnet.Snapshots.staleness option;
-  faults : Simnet.Faults.plan option;
-  domains : int option;
-}
+type config = { app : Apps.Social.config; plane : Plane.config }
 
 val config :
   ?k:int ->
-  ?mode:Driver.mode ->
+  ?mode:Plane.mode ->
   ?period:int ->
-  ?backend:Driver.backend ->
+  ?backend:Plane.backend ->
   ?attack:Attack.strategy ->
   ?frac:float ->
   ?lateness:int ->
@@ -56,21 +35,10 @@ val config :
   ?domains:int ->
   Apps.Social.config ->
   config
-(** Defaults as {!Driver.config}: [k = 4], the [Robust] backend,
-    [Reconfig] every [period = 8] rounds, [No_attack] with [frac = 0.1]
-    and [lateness = period].  Raises [Invalid_argument] on the same bound
-    violations. *)
+(** The plane defaults; raises [Invalid_argument] as {!Plane.config}. *)
 
-type report = {
-  config : config;
-  n : int;
-  classes : Driver.class_report list;
-      (** feed, post, comment, vote, dm — in that order *)
-  total : Driver.class_report;
-  hop_msgs : int;
-  max_group_load : int;
-  total_bits : int;
-}
+type report = Plane.report
+(** Classes feed, post, comment, vote, dm — in that order. *)
 
 val run : ?trace:Simnet.Trace.t -> seed:int64 -> n:int -> config -> report
 (** Execute the social workload on a fresh [n]-server overlay.  The
@@ -79,6 +47,4 @@ val run : ?trace:Simnet.Trace.t -> seed:int64 -> n:int -> config -> report
     [Group_kill] lands on the servers the feed reads actually hit. *)
 
 val table_lines : report -> string list
-(** Per-class result table ({!Driver.table_header} format), one string
-    per line, printed by [overlay_sim social] and pinned by the cram
-    test. *)
+(** {!Plane.table_lines}: the table [overlay_sim social] prints. *)

@@ -75,7 +75,7 @@ let run ?(mode = Workload.Driver.Reconfig) ?(attack = Workload.Attack.No_attack)
 
 let test_accounting_invariants () =
   let r = run ~session:(0.85, 8) () in
-  Alcotest.(check int) "five classes" 5 (List.length r.Workload.Social.classes);
+  Alcotest.(check int) "five classes" 5 (List.length r.Workload.Plane.classes);
   List.iter2
     (fun cls (c : Workload.Driver.class_report) ->
       Alcotest.(check string) "class order" (Apps.Social.class_name cls)
@@ -88,12 +88,12 @@ let test_accounting_invariants () =
       Alcotest.(check int)
         "histogram holds the served requests" c.Workload.Driver.ok
         (Stats.Log_histogram.total c.Workload.Driver.hist))
-    Apps.Social.classes r.Workload.Social.classes;
-  let t = r.Workload.Social.total in
+    Apps.Social.classes r.Workload.Plane.classes;
+  let t = r.Workload.Plane.total in
   Alcotest.(check int) "total issued"
     (List.fold_left
        (fun a (c : Workload.Driver.class_report) -> a + c.Workload.Driver.issued)
-       0 r.Workload.Social.classes)
+       0 r.Workload.Plane.classes)
     t.Workload.Driver.issued
 
 (* The merged overall histogram must not depend on the order the class
@@ -103,7 +103,7 @@ let test_class_hist_merge_invariance () =
   let hists =
     List.map
       (fun (c : Workload.Driver.class_report) -> c.Workload.Driver.hist)
-      r.Workload.Social.classes
+      r.Workload.Plane.classes
   in
   let merge_all hs =
     List.fold_left
@@ -121,7 +121,7 @@ let test_class_hist_merge_invariance () =
   Alcotest.(check bool) "forward = rotated" true
     (Stats.Log_histogram.equal fwd rot);
   Alcotest.(check bool) "matches the report's total" true
-    (Stats.Log_histogram.equal fwd r.Workload.Social.total.Workload.Driver.hist)
+    (Stats.Log_histogram.equal fwd r.Workload.Plane.total.Workload.Driver.hist)
 
 let reports_equal (a : Workload.Social.report) (b : Workload.Social.report) =
   List.for_all2
@@ -133,10 +133,10 @@ let reports_equal (a : Workload.Social.report) (b : Workload.Social.report) =
       && x.Workload.Driver.failed = y.Workload.Driver.failed
       && x.Workload.Driver.max_hops = y.Workload.Driver.max_hops
       && Stats.Log_histogram.equal x.Workload.Driver.hist y.Workload.Driver.hist)
-    a.Workload.Social.classes b.Workload.Social.classes
-  && a.Workload.Social.hop_msgs = b.Workload.Social.hop_msgs
-  && a.Workload.Social.total_bits = b.Workload.Social.total_bits
-  && a.Workload.Social.max_group_load = b.Workload.Social.max_group_load
+    a.Workload.Plane.classes b.Workload.Plane.classes
+  && a.Workload.Plane.hop_msgs = b.Workload.Plane.hop_msgs
+  && a.Workload.Plane.total_bits = b.Workload.Plane.total_bits
+  && a.Workload.Plane.max_group_load = b.Workload.Plane.max_group_load
 
 let test_domains_invariant () =
   let a =
@@ -158,7 +158,7 @@ let test_reconfig_holds_static_loses () =
   in
   let classes_ok r =
     List.length
-      (List.filter (fun c -> slo_frac c >= 0.9) r.Workload.Social.classes)
+      (List.filter (fun c -> slo_frac c >= 0.9) r.Workload.Plane.classes)
   in
   let reconfig =
     run ~mode:Workload.Driver.Reconfig ~attack:Workload.Attack.Group_kill ()
