@@ -228,6 +228,32 @@ let test_driver_reconfig_survives_static_collapses () =
     true (g_s < 0.9);
   Alcotest.(check bool) "visible gap" true (g_r -. g_s >= 0.1)
 
+(* ---------- Plane.decode ---------- *)
+
+let test_plane_decode () =
+  let dec ?static kvs =
+    match Simnet.Scenario.of_args kvs with
+    | Ok sc -> Workload.Plane.decode ?static sc
+    | Error e -> Alcotest.fail e
+  in
+  let open Workload.Plane in
+  Alcotest.(check bool) "default" true
+    (dec [] = (Reconfig, Robust, Workload.Attack.No_attack));
+  Alcotest.(check bool) "static ablation" true
+    (dec [ ("backend", "static"); ("adversary", "group-kill") ]
+    = (Static, Robust, Workload.Attack.Group_kill));
+  Alcotest.(check bool) "chord knobs, static forced" true
+    (dec ~static:true [ ("backend", "chord"); ("chord-succs", "3") ]
+    = ( Static,
+        Chord { fingers = None; succs = Some 3; period = None },
+        Workload.Attack.No_attack ));
+  List.iter
+    (fun kvs ->
+      match dec kvs with
+      | _ -> Alcotest.failf "%s accepted" (snd (List.hd kvs))
+      | exception Invalid_argument _ -> ())
+    [ [ ("backend", "kademlia") ]; [ ("adversary", "succ-kill") ] ]
+
 let () =
   Alcotest.run "workload"
     [
@@ -246,6 +272,7 @@ let () =
           Alcotest.test_case "client streams keyed" `Quick
             test_gen_client_streams_are_keyed;
         ] );
+      ("plane", [ Alcotest.test_case "decode" `Quick test_plane_decode ]);
       ( "driver",
         [
           Alcotest.test_case "no attack serves everything" `Quick
