@@ -56,6 +56,82 @@ let test_xoshiro_zero_state_rejected () =
     (Invalid_argument "Xoshiro256.of_state: all-zero state") (fun () ->
       ignore (Prng.Xoshiro256.of_state 0L 0L 0L 0L))
 
+(* Known answers.  The of_state 1 2 3 4 outputs are the reference
+   xoshiro256** sequence of Blackman and Vigna; the rest pin this
+   implementation's seeding, rejection and bit-slicing rules, so a change of
+   the generator's representation must reproduce every stream exactly. *)
+
+let int64s g n = List.init n (fun _ -> Prng.Xoshiro256.next g)
+
+let test_xoshiro_reference () =
+  Alcotest.(check (list int64)) "of_state 1 2 3 4"
+    [ 11520L; 0L; 1509978240L; 1215971899390074240L; 1216172134540287360L;
+      607988272756665600L ]
+    (int64s (Prng.Xoshiro256.of_state 1L 2L 3L 4L) 6);
+  Alcotest.(check (list int64)) "of_seed 7"
+    [ -5523389002881075622L; 5142052590334782674L; -2958351167216911978L;
+      -348685429060373952L ]
+    (int64s (Prng.Xoshiro256.of_seed 7L) 4)
+
+let test_xoshiro_copy_jump_known () =
+  let g = Prng.Xoshiro256.of_seed 7L in
+  ignore (int64s g 2);
+  let h = Prng.Xoshiro256.copy g in
+  ignore (Prng.Xoshiro256.next g);
+  Alcotest.(check (list int64)) "copy resumes at draw 3"
+    [ -2958351167216911978L; -348685429060373952L; -168598097271454952L ]
+    (int64s h 3);
+  let j = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
+  Prng.Xoshiro256.jump j;
+  Alcotest.(check (list int64)) "jump from 1 2 3 4"
+    [ -4912596984176294952L; 7126240192422241655L; 3805973808039778091L;
+      -6898863543051131232L ]
+    (int64s j 4)
+
+let test_stream_known () =
+  let s = stream () in
+  Alcotest.(check (list int)) "int 1000"
+    [ 741; 499; 628; 697; 172; 698; 404; 855 ]
+    (List.init 8 (fun _ -> Prng.Stream.int s 1000));
+  let s = stream () in
+  Alcotest.(check (list bool)) "bool"
+    [ true; false; false; true; false; false; true; false; false; true; false;
+      false; true; true; true; true ]
+    (List.init 16 (fun _ -> Prng.Stream.bool s));
+  let s = stream () in
+  Alcotest.(check (list string)) "float 1.0"
+    [ "0x1.7cd46c6e82c1ap-1"; "0x1.0a555031bd344p-3"; "0x1.ed3a2dbd32a9ap-1";
+      "0x1.8c009189d2dcp-5" ]
+    (List.init 4 (fun _ -> Printf.sprintf "%h" (Prng.Stream.float s 1.0)));
+  let s = stream () in
+  Alcotest.(check (list string)) "int, int_in, bernoulli interleaved"
+    [ "1"; "3"; "false"; "5"; "-2"; "true" ]
+    (List.init 6 (fun i ->
+         match i mod 3 with
+         | 0 -> string_of_int (Prng.Stream.int s 6)
+         | 1 -> string_of_int (Prng.Stream.int_in s (-3) 3)
+         | _ -> string_of_bool (Prng.Stream.bernoulli s 0.3)));
+  let s = stream () in
+  let c = Prng.Stream.split s in
+  Alcotest.(check (list int)) "split child" [ 449; 658; 481; 245 ]
+    (List.init 4 (fun _ -> Prng.Stream.int c 1000));
+  Alcotest.(check (list int64)) "parent bits64 after split"
+    [ -4725905248023948133L; 2398916695208396998L ]
+    (List.init 2 (fun _ -> Prng.Stream.bits64 s))
+
+let test_stream_rejection_known () =
+  (* A bound of 2^61 + 1 rejects about a quarter of the 63-bit draws: the
+     six values below consume seven generator outputs. *)
+  let s = stream () in
+  Alcotest.(check (list int)) "int (2^61 + 1)"
+    [ 2248733394415413835; 1199458347604198499; 445858863439900697;
+      508972004731839266; 98487714942453698; 1473685501948099404 ]
+    (List.init 6 (fun _ -> Prng.Stream.int s ((1 lsl 61) + 1)));
+  let fresh = stream () in
+  for _ = 1 to 7 do ignore (Prng.Stream.bits64 fresh) done;
+  Alcotest.(check int64) "seven outputs consumed" (Prng.Stream.bits64 fresh)
+    (Prng.Stream.bits64 s)
+
 let test_stream_determinism () =
   let a = stream () and b = stream () in
   for _ = 1 to 200 do
@@ -380,10 +456,16 @@ let () =
             test_xoshiro_jump_changes_stream;
           Alcotest.test_case "zero state rejected" `Quick
             test_xoshiro_zero_state_rejected;
+          Alcotest.test_case "reference outputs" `Quick test_xoshiro_reference;
+          Alcotest.test_case "copy and jump known answers" `Quick
+            test_xoshiro_copy_jump_known;
         ] );
       ( "stream",
         [
           Alcotest.test_case "determinism" `Quick test_stream_determinism;
+          Alcotest.test_case "known answers" `Quick test_stream_known;
+          Alcotest.test_case "rejection known answers" `Quick
+            test_stream_rejection_known;
           Alcotest.test_case "split independence" `Quick test_split_independence;
           Alcotest.test_case "split_n" `Quick test_split_n;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
