@@ -21,19 +21,9 @@ let split_n t k = Array.init k (fun _ -> split t)
 
 let bits64 t = Xoshiro256.next t.gen
 
-(* Lemire-style bounded sampling with rejection: exactly uniform. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Stream.int: bound <= 0";
-  let b = Int64.of_int bound in
-  (* Draw 63 nonnegative bits and reject the final partial block. *)
-  let rec go () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem r b in
-    (* Reject if r falls in the final incomplete block of size (2^63 mod b). *)
-    if Int64.sub r v > Int64.sub Int64.max_int (Int64.sub b 1L) then go ()
-    else Int64.to_int v
-  in
-  go ()
+  Xoshiro256.bounded t.gen bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Stream.int_in: empty range";
@@ -41,10 +31,9 @@ let int_in t lo hi =
 
 let float t bound =
   (* 53 random bits mapped to [0,1), scaled. *)
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (r *. 0x1p-53)
+  bound *. (float_of_int (Xoshiro256.bits53 t.gen) *. 0x1p-53)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Xoshiro256.coin t.gen
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t 1.0 < p

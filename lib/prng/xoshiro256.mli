@@ -20,6 +20,22 @@ val copy : t -> t
 val next : t -> int64
 (** Next 64 random bits. *)
 
+(** {1 Immediate draws}
+
+    Each consumes exactly one {!next} output per attempt and returns an
+    immediate, so a draw allocates nothing. *)
+
+val bounded : t -> int -> int
+(** [bounded t b] is uniform on [0, b) for [b > 0] (unchecked): the top 63
+    bits of an output modulo [b], redrawn while they fall in the final
+    incomplete block of size [2^63 mod b]. *)
+
+val coin : t -> bool
+(** The lowest bit of one output. *)
+
+val bits53 : t -> int
+(** The top 53 bits of one output, as a nonnegative int. *)
+
 val jump : t -> unit
 (** [jump t] advances [t] by 2^128 steps.  Starting from a shared state and
     jumping k times yields 2^128-spaced, effectively independent streams. *)

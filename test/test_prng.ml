@@ -132,6 +132,26 @@ let test_stream_rejection_known () =
   Alcotest.(check int64) "seven outputs consumed" (Prng.Stream.bits64 fresh)
     (Prng.Stream.bits64 s)
 
+let test_draws_allocate_nothing () =
+  (* Drawing must not box the generator state or the 64-bit output (the
+     record-of-int64 state cost 29 words per int and 21 per bool). *)
+  let s = stream () in
+  let words_per_draw draw =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      ignore (Sys.opaque_identity (draw s))
+    done;
+    (Gc.minor_words () -. before) /. 100_000.
+  in
+  let int_words = words_per_draw (fun s -> Prng.Stream.int s 1000) in
+  let bool_words = words_per_draw Prng.Stream.bool in
+  Alcotest.(check bool)
+    (Printf.sprintf "int: %.3f words per draw < 0.01" int_words)
+    true (int_words < 0.01);
+  Alcotest.(check bool)
+    (Printf.sprintf "bool: %.3f words per draw < 0.01" bool_words)
+    true (bool_words < 0.01)
+
 let test_stream_determinism () =
   let a = stream () and b = stream () in
   for _ = 1 to 200 do
@@ -466,6 +486,8 @@ let () =
           Alcotest.test_case "known answers" `Quick test_stream_known;
           Alcotest.test_case "rejection known answers" `Quick
             test_stream_rejection_known;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
           Alcotest.test_case "split independence" `Quick test_split_independence;
           Alcotest.test_case "split_n" `Quick test_split_n;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
