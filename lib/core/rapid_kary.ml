@@ -1,141 +1,14 @@
 module Kary = Topology.Kary_hypercube
-module Metrics = Simnet.Metrics
-module Msg_size = Simnet.Msg_size
 
-(* Structure identical to Rapid_hypercube: buckets indexed by coordinate
-   segment start; iteration i merges [s, s+2^(i-1)) with its right sibling.
-   Only Phase 1 (digit randomization) and the node arithmetic differ. *)
-
+(* Algorithm 2 on the k-ary cube is Rapid_cube with a uniform digit as the
+   Phase-1 redraw. *)
 let redraw_digit cube rng u j =
   Kary.with_coord cube u j (Prng.Stream.int rng (Kary.k cube))
 
 let run ?(eps = 0.5) ?(c = 2.0) ~rng cube =
-  let d = Kary.d cube in
-  let n = Kary.node_count cube in
-  let iters = Params.iterations_hypercube ~d in
-  let schedule = Params.schedule_hypercube ~eps ~c ~n ~iters in
-  let id_bits = Msg_size.id_bits n in
-  let request_bits =
-    Msg_size.ids_msg ~id_bits ~count:1 + Msg_size.id_bits (max 2 d)
-  in
-  let response_bits = request_bits in
-  let metrics = Metrics.create ~n in
-  let underflows = ref 0 in
-  let m =
-    Array.init n (fun _ ->
-        Array.init d (fun _ -> Multiset.create ~capacity:schedule.(0) ()))
-  in
-  for u = 0 to n - 1 do
-    for j = 0 to d - 1 do
-      for _ = 1 to schedule.(0) do
-        Multiset.add m.(u).(j) (redraw_digit cube rng u j)
-      done
-    done
-  done;
-  let requesters = Array.init n (fun _ -> ref []) in
-  let fresh = Array.init n (fun _ -> Array.init d (fun _ -> Multiset.create ())) in
-  for i = 1 to iters do
-    let mi = schedule.(i) in
-    let step = 1 lsl i in
-    let half = 1 lsl (i - 1) in
-    for u = 0 to n - 1 do
-      let s = ref 0 in
-      while !s < d do
-        if !s + half < d then
-          for _ = 1 to mi do
-            match Multiset.extract_random m.(u).(!s) rng with
-            | None -> incr underflows
-            | Some v ->
-                Metrics.on_send metrics ~node:u ~bits:request_bits;
-                Metrics.on_recv metrics ~node:v ~bits:request_bits;
-                requesters.(v) := (u, !s) :: !(requesters.(v))
-          done;
-        s := !s + step
-      done
-    done;
-    ignore (Metrics.finish_round metrics);
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (u, s) ->
-          match Multiset.extract_random m.(v).(s + half) rng with
-          | None -> incr underflows
-          | Some w ->
-              Metrics.on_send metrics ~node:v ~bits:response_bits;
-              Metrics.on_recv metrics ~node:u ~bits:response_bits;
-              Multiset.add fresh.(u).(s) w)
-        (List.rev !(requesters.(v)));
-      requesters.(v) := []
-    done;
-    ignore (Metrics.finish_round metrics);
-    for u = 0 to n - 1 do
-      let s = ref 0 in
-      while !s < d do
-        if !s + half < d then begin
-          Multiset.clear m.(u).(!s);
-          Multiset.iter (fun w -> Multiset.add m.(u).(!s) w) fresh.(u).(!s);
-          Multiset.clear fresh.(u).(!s);
-          Multiset.clear m.(u).(!s + half)
-        end;
-        s := !s + step
-      done
-    done
-  done;
-  let samples =
-    Array.map
-      (fun buckets ->
-        let a = Multiset.to_array buckets.(0) in
-        Prng.Stream.shuffle_in_place rng a;
-        a)
-      m
-  in
-  {
-    Sampling_result.samples;
-    rounds = 2 * iters;
-    walk_length = d;
-    schedule;
-    underflows = !underflows;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
+  Rapid_cube.run ~trace:Simnet.Trace.null ~eps ~c ~rng ~n:(Kary.node_count cube)
+    ~d:(Kary.d cube) ~redraw:(redraw_digit cube rng)
 
 let run_plain ~k ~rng cube =
-  let d = Kary.d cube in
-  let n = Kary.node_count cube in
-  let id_bits = Msg_size.id_bits n in
-  let token_bits = Msg_size.ids_msg ~id_bits ~count:1 in
-  let metrics = Metrics.create ~n in
-  let origins = Array.init (n * k) (fun j -> j / k) in
-  let positions = Array.copy origins in
-  for dim = 0 to d - 1 do
-    for j = 0 to Array.length positions - 1 do
-      let cur = positions.(j) in
-      let next = redraw_digit cube rng cur dim in
-      if next <> cur then begin
-        Metrics.on_send metrics ~node:cur ~bits:token_bits;
-        Metrics.on_recv metrics ~node:next ~bits:token_bits;
-        positions.(j) <- next
-      end
-    done;
-    ignore (Metrics.finish_round metrics)
-  done;
-  let samples = Array.make n [] in
-  for j = 0 to Array.length positions - 1 do
-    let origin = origins.(j) and endpoint = positions.(j) in
-    Metrics.on_send metrics ~node:endpoint ~bits:token_bits;
-    Metrics.on_recv metrics ~node:origin ~bits:token_bits;
-    samples.(origin) <- endpoint :: samples.(origin)
-  done;
-  ignore (Metrics.finish_round metrics);
-  {
-    Sampling_result.samples = Array.map Array.of_list samples;
-    rounds = d + 1;
-    walk_length = d;
-    schedule = [| k |];
-    underflows = 0;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
+  Rapid_cube.run_plain ~trace:Simnet.Trace.null ~k ~n:(Kary.node_count cube)
+    ~d:(Kary.d cube) ~redraw:(redraw_digit cube rng)

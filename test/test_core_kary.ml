@@ -69,6 +69,20 @@ let test_separation () =
   Alcotest.(check bool) "fewer rounds" true
     (fast.Core.Sampling_result.rounds < slow.Core.Sampling_result.rounds)
 
+let test_run_allocation () =
+  (* The flat core allocates its arena and queues once (on the major heap)
+     and nothing per draw or message.  The multiset-per-bucket
+     implementation it replaced allocated 129,421,124 minor words on this
+     run; allow under 5 % of that. *)
+  let cube = Topology.Kary_hypercube.create ~k:4 ~d:6 in
+  let rng = Prng.Stream.of_seed 1L in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Core.Rapid_kary.run ~rng cube));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 6471056" words)
+    true (words < 0.05 *. 129_421_124.)
+
 let test_dht_reshuffle_balanced () =
   (* Robust_dht.reshuffle now scatters via the k-ary primitive; the new
      group sizes must look binomial, not clumped. *)
@@ -115,6 +129,7 @@ let () =
           Alcotest.test_case "samples in range" `Quick test_samples_in_range;
           Alcotest.test_case "plain baseline" `Quick test_plain_baseline;
           Alcotest.test_case "round separation" `Quick test_separation;
+          Alcotest.test_case "run allocation" `Quick test_run_allocation;
           Alcotest.test_case "dht reshuffle balanced" `Quick
             test_dht_reshuffle_balanced;
         ] );
