@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test qcheck-soak bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke smoke
+.PHONY: all build test qcheck-soak bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke smoke perf-ab
 
 all: build
 
@@ -183,6 +183,29 @@ trace-bench-smoke:
 	  --export-jsonl /tmp/overlay_tb_export.jsonl /tmp/overlay_tb.bin
 	cmp /tmp/overlay_tb_export.jsonl /tmp/overlay_tb.jsonl
 	dune exec bench/main.exe -- trace
+
+# A/B the end-to-end benchmark (perfbench/) against revision BASE on this
+# machine: check BASE out into a temporary worktree, then alternate its run
+# and this tree's run of workload W on the held-out seed 9973, PAIRS times.
+# Prints every run's JSON line and report digests (identical digests mean
+# identical results); the worktree is removed afterwards.
+BASE ?= HEAD
+W ?= social-reconfig
+PAIRS ?= 3
+SECONDS ?= 25
+perf-ab:
+	@tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base"; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" $(BASE) > /dev/null || exit 1; \
+	for i in $$(seq 1 $(PAIRS)); do \
+	  for side in base this; do \
+	    if [ $$side = base ]; then root="$$tmp/base"; else root="$(CURDIR)"; fi; \
+	    (cd "$$root" && python3 perfbench/run.py --workload $(W) \
+	      --seed 9973 --seconds $(SECONDS) --trace 0) > "$$tmp/out" || exit 1; \
+	    echo "pair $$i $$side $$(tail -n 1 "$$tmp/out")"; \
+	    echo "pair $$i $$side $$(grep -o 'digest=[0-9a-f]*' "$$tmp/out" | sort -u | tr '\n' ' ')"; \
+	  done; \
+	done
 
 # All the fast health checks in one target: traced-run validation, the
 # fault model under churn, the workload driver under attack, sweep
