@@ -23,15 +23,18 @@ let result ~samples ~rounds ~walk_length ~schedule ~underflows metrics =
    starting at j.  At iteration i the segments are [s, min (s + 2^i, d)) for
    s a multiple of 2^i; a segment whose right sibling start s + 2^(i-1) falls
    outside [0, d) has nothing to merge with and its bucket persists.  All
-   buckets share one arena: bucket b holds len.(b) ids at b * m_0, and no
-   bucket ever holds more than m_0 ids. *)
+   buckets share one arena: bucket b holds len.(b) ids at b * m_0. *)
 
 let run ~trace ~eps ~c ~rng ~n ~d ~redraw =
   let iters = Params.iterations_hypercube ~d in
   let schedule = Params.schedule_hypercube ~eps ~c ~n ~iters in
+  (* A non-increasing schedule bounds every bucket by m_0 and every round's
+     requests by those of the first. *)
+  for i = 1 to iters do
+    if schedule.(i) > schedule.(i - 1) then
+      invalid_arg "Rapid_cube.run: schedule grows"
+  done;
   let m0 = schedule.(0) in
-  if Array.exists (fun m -> m > m0) schedule then
-    invalid_arg "Rapid_cube.run: schedule exceeds m_0";
   (* A request carries (requester id, segment index); a response carries
      (sampled id, segment index). *)
   let msg_bits =
@@ -64,7 +67,9 @@ let run ~trace ~eps ~c ~rng ~n ~d ~redraw =
     len.(b) <- m0
   done;
   (* A round's requests, as server * buckets + requester bucket, in sending
-     order; counting-sorted by server (stably) into [by_server]. *)
+     order; their requester buckets counting-sorted by server (stably) into
+     [by_server].  A round charges each node's messages in one metrics call:
+     every message carries [msg_bits]. *)
   let max_requests = if iters = 0 then 0 else n * ((d + 1) / 2) * schedule.(1) in
   let requests = Array.make max_requests 0 in
   let by_server = Array.make max_requests 0 in
@@ -77,15 +82,13 @@ let run ~trace ~eps ~c ~rng ~n ~d ~redraw =
        m_i requests to ids drawn from its bucket.  The bucket is then empty
        for the responses: the serve round reads right siblings only. *)
     for u = 0 to n - 1 do
-      let s = ref 0 in
+      let first = !sent and s = ref 0 in
       while !s + half < d do
         let b = (u * d) + !s in
         for _ = 1 to mi do
           let v = extract b in
           if v < 0 then incr underflows
           else begin
-            Metrics.on_send metrics ~node:u ~bits:msg_bits;
-            Metrics.on_recv metrics ~node:v ~bits:msg_bits;
             requests.(!sent) <- (v * buckets) + b;
             incr sent;
             starts.(v + 1) <- starts.(v + 1) + 1
@@ -93,7 +96,11 @@ let run ~trace ~eps ~c ~rng ~n ~d ~redraw =
         done;
         len.(b) <- 0;
         s := !s + step
-      done
+      done;
+      Metrics.on_sends metrics ~node:u ~count:(!sent - first) ~bits:msg_bits
+    done;
+    for v = 0 to n - 1 do
+      Metrics.on_recvs metrics ~node:v ~count:starts.(v + 1) ~bits:msg_bits
     done;
     finish_round trace metrics;
     for v = 1 to n do
@@ -101,21 +108,35 @@ let run ~trace ~eps ~c ~rng ~n ~d ~redraw =
     done;
     for x = 0 to !sent - 1 do
       let v = requests.(x) / buckets in
-      by_server.(starts.(v)) <- requests.(x);
+      by_server.(starts.(v)) <- requests.(x) mod buckets;
       starts.(v) <- starts.(v) + 1
     done;
     (* Phase 3 + 4 (one round): each server, in id order, answers its
-       requests in arrival order from its right-sibling bucket. *)
-    for x = 0 to !sent - 1 do
-      let v = by_server.(x) / buckets and b = by_server.(x) mod buckets in
-      let w = extract ((v * d) + (b mod d) + half) in
-      if w < 0 then incr underflows
-      else begin
-        Metrics.on_send metrics ~node:v ~bits:msg_bits;
-        Metrics.on_recv metrics ~node:(b / d) ~bits:msg_bits;
-        arena.((b * m0) + len.(b)) <- w;
-        len.(b) <- len.(b) + 1
-      end
+       requests (now ending at starts.(v)) in arrival order from its
+       right-sibling bucket. *)
+    let x = ref 0 in
+    for v = 0 to n - 1 do
+      let served = ref 0 in
+      while !x < starts.(v) do
+        let b = by_server.(!x) in
+        let w = extract ((v * d) + (b mod d) + half) in
+        if w < 0 then incr underflows
+        else begin
+          incr served;
+          arena.((b * m0) + len.(b)) <- w;
+          len.(b) <- len.(b) + 1
+        end;
+        incr x
+      done;
+      Metrics.on_sends metrics ~node:v ~count:!served ~bits:msg_bits
+    done;
+    for u = 0 to n - 1 do
+      let received = ref 0 and s = ref 0 in
+      while !s + half < d do
+        received := !received + len.((u * d) + !s);
+        s := !s + step
+      done;
+      Metrics.on_recvs metrics ~node:u ~count:!received ~bits:msg_bits
     done;
     (* What is left in the right siblings is dead: no later iteration
        reads a bucket at an odd multiple of 2^(i-1). *)

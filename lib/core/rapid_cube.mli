@@ -27,8 +27,8 @@ val run :
 (** One attempt of Algorithm 2 with the schedule
     {!Params.schedule_hypercube}; [trace] receives one [Round] event per
     communication round.  Each node's samples come out in uniformly random
-    order.  Raises [Invalid_argument] if the schedule ever exceeds
-    [m_0]. *)
+    order.  Raises [Invalid_argument] if the schedule ever grows from one
+    iteration to the next. *)
 
 val run_plain :
   trace:Simnet.Trace.t ->

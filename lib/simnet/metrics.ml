@@ -40,18 +40,20 @@ let touch t node =
   if t.node_bits.(node) = 0 && t.node_msgs.(node) = 0 then
     t.touched <- node :: t.touched
 
-let on_send t ~node ~bits =
-  touch t node;
-  t.node_bits.(node) <- t.node_bits.(node) + bits;
-  t.node_msgs.(node) <- t.node_msgs.(node) + 1;
-  t.cur_bits <- t.cur_bits + bits
+let[@inline] on_sends t ~node ~count ~bits =
+  if count > 0 then begin
+    touch t node;
+    t.node_bits.(node) <- t.node_bits.(node) + (count * bits);
+    t.node_msgs.(node) <- t.node_msgs.(node) + count;
+    t.cur_bits <- t.cur_bits + (count * bits)
+  end
 
-let on_recv t ~node ~bits =
-  touch t node;
-  t.node_bits.(node) <- t.node_bits.(node) + bits;
-  t.node_msgs.(node) <- t.node_msgs.(node) + 1;
-  t.cur_bits <- t.cur_bits + bits;
-  t.cur_msgs <- t.cur_msgs + 1
+let[@inline] on_recvs t ~node ~count ~bits =
+  on_sends t ~node ~count ~bits;
+  t.cur_msgs <- t.cur_msgs + count
+
+let on_send t ~node ~bits = on_sends t ~node ~count:1 ~bits
+let on_recv t ~node ~bits = on_recvs t ~node ~count:1 ~bits
 
 let finish_round t =
   let max_bits = ref 0 and max_msgs = ref 0 in

@@ -20,6 +20,13 @@ val create : n:int -> t
 val on_send : t -> node:int -> bits:int -> unit
 val on_recv : t -> node:int -> bits:int -> unit
 
+val on_sends : t -> node:int -> count:int -> bits:int -> unit
+(** [count] calls of {!on_send} at once ([bits] each); nothing if
+    [count <= 0]. *)
+
+val on_recvs : t -> node:int -> count:int -> bits:int -> unit
+(** [count] calls of {!on_recv} at once. *)
+
 val finish_round : t -> round_summary
 (** Summarize and reset the per-node counters; rounds number from 0. *)
 
