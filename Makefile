@@ -186,9 +186,10 @@ trace-bench-smoke:
 
 # A/B the end-to-end benchmark (perfbench/) against revision BASE on this
 # machine: check BASE out into a temporary worktree, then alternate its run
-# and this tree's run of workload W on the held-out seed 9973, PAIRS times.
-# Prints every run's JSON line and report digests (identical digests mean
-# identical results); the worktree is removed afterwards.
+# and this tree's run of workload W on the held-out seed 9973, PAIRS times,
+# swapping which side runs first from pair to pair.  Prints every run's
+# JSON line and report digests (identical digests mean identical results);
+# the worktree is removed afterwards.
 BASE ?= HEAD
 W ?= social-reconfig
 PAIRS ?= 3
@@ -198,7 +199,8 @@ perf-ab:
 	trap 'git worktree remove --force "$$tmp/base"; rm -rf "$$tmp"' EXIT; \
 	git worktree add --detach "$$tmp/base" $(BASE) > /dev/null || exit 1; \
 	for i in $$(seq 1 $(PAIRS)); do \
-	  for side in base this; do \
+	  if [ $$((i % 2)) = 1 ]; then order="base this"; else order="this base"; fi; \
+	  for side in $$order; do \
 	    if [ $$side = base ]; then root="$$tmp/base"; else root="$(CURDIR)"; fi; \
 	    (cd "$$root" && python3 perfbench/run.py --workload $(W) \
 	      --seed 9973 --seconds $(SECONDS) --trace 0) > "$$tmp/out" || exit 1; \
