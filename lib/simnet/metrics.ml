@@ -49,8 +49,10 @@ let[@inline] on_sends t ~node ~count ~bits =
   end
 
 let[@inline] on_recvs t ~node ~count ~bits =
-  on_sends t ~node ~count ~bits;
-  t.cur_msgs <- t.cur_msgs + count
+  if count > 0 then begin
+    on_sends t ~node ~count ~bits;
+    t.cur_msgs <- t.cur_msgs + count
+  end
 
 let on_send t ~node ~bits = on_sends t ~node ~count:1 ~bits
 let on_recv t ~node ~bits = on_recvs t ~node ~count:1 ~bits

@@ -25,7 +25,7 @@ val on_sends : t -> node:int -> count:int -> bits:int -> unit
     [count <= 0]. *)
 
 val on_recvs : t -> node:int -> count:int -> bits:int -> unit
-(** [count] calls of {!on_recv} at once. *)
+(** [count] calls of {!on_recv} at once; nothing if [count <= 0]. *)
 
 val finish_round : t -> round_summary
 (** Summarize and reset the per-node counters; rounds number from 0. *)

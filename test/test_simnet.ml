@@ -48,6 +48,26 @@ let test_metrics_max_ever () =
   ignore (Simnet.Metrics.finish_round m);
   Alcotest.(check int) "max ever" 100 (Simnet.Metrics.max_node_bits_ever m)
 
+let test_metrics_bulk () =
+  (* on_sends/on_recvs with count c summarize exactly like c single calls;
+     a zero count changes nothing. *)
+  let single = Simnet.Metrics.create ~n:3 and bulk = Simnet.Metrics.create ~n:3 in
+  for _ = 1 to 3 do
+    Simnet.Metrics.on_send single ~node:0 ~bits:7;
+    Simnet.Metrics.on_recv single ~node:2 ~bits:7
+  done;
+  Simnet.Metrics.on_recv single ~node:0 ~bits:7;
+  Simnet.Metrics.on_sends bulk ~node:0 ~count:3 ~bits:7;
+  Simnet.Metrics.on_recvs bulk ~node:2 ~count:3 ~bits:7;
+  Simnet.Metrics.on_recvs bulk ~node:0 ~count:1 ~bits:7;
+  Simnet.Metrics.on_sends bulk ~node:1 ~count:0 ~bits:7;
+  Simnet.Metrics.on_recvs bulk ~node:1 ~count:0 ~bits:7;
+  let a = Simnet.Metrics.finish_round single
+  and b = Simnet.Metrics.finish_round bulk in
+  Alcotest.(check (list int)) "same round summary"
+    Simnet.Metrics.[ a.msgs; a.bits; a.max_node_bits; a.max_node_msgs ]
+    Simnet.Metrics.[ b.msgs; b.bits; b.max_node_bits; b.max_node_msgs ]
+
 (* ---------- Engine: plain delivery ---------- *)
 
 let test_engine_delivery_next_round () =
@@ -873,6 +893,7 @@ let () =
         [
           Alcotest.test_case "rounds" `Quick test_metrics_rounds;
           Alcotest.test_case "max ever" `Quick test_metrics_max_ever;
+          Alcotest.test_case "bulk charges" `Quick test_metrics_bulk;
         ] );
       ( "engine",
         [
