@@ -63,3 +63,11 @@ val join : t -> avail:(int -> bool) -> via:int -> int -> bool
     predecessor and fingers reset) and report success.  On failure the
     node keeps its stale tables for stabilization to repair — the
     crash-recover degradation mode. *)
+
+val churn :
+  t -> rng:Prng.Stream.t -> was_down:bool array -> down:bool array -> unit
+(** Apply an epoch's churn draw: every node is alive iff not [down], and
+    each node returning this epoch ([was_down] but not [down]) re-joins
+    through an introducer picked on [rng] among the other live,
+    uncrashed nodes (no pick, no re-join).  The one re-join path of
+    {!Sim.run} and the request plane's Chord backend. *)

@@ -132,18 +132,7 @@ let run ?(trace = Simnet.Trace.null) ?domains ~seed (cfg : config) =
           let picks = Prng.Stream.sample_distinct churn_rng n ~k:down in
           Array.iter (fun v -> churn_down.(v) <- true) picks
         end;
-        for v = 0 to n - 1 do
-          Ring.set_alive ring v (not churn_down.(v))
-        done;
-        let join_avail v =
-          Ring.is_alive ring v && not (Simnet.Runtime.crashed rt v)
-        in
-        for v = 0 to n - 1 do
-          if was_down.(v) && not churn_down.(v) then
-            match Ring.pick churn_rng ~ok:(fun u -> u <> v && join_avail u) n with
-            | Some via -> ignore (Net.join net ~avail:join_avail ~via v)
-            | None -> ()
-        done;
+        Net.churn net ~rng:churn_rng ~was_down ~down:churn_down;
         Simnet.Runtime.adversary rt ~kind:"churn"
           [ ("round", Simnet.Trace.Int r); ("down", Simnet.Trace.Int down) ]
     | _ -> ());

@@ -213,22 +213,7 @@ module Chord_ring : S = struct
   let reconfigure _ ~round:_ = ()
   let observe t = Chord.Adversary.observe t.adv
 
-  let churn t ~rng ~was_down ~down =
-    let n = t.ctx.n in
-    for v = 0 to n - 1 do
-      Chord.Ring.set_alive t.ring v (not down.(v))
-    done;
-    let join_avail v =
-      Chord.Ring.is_alive t.ring v && not (Simnet.Runtime.crashed t.ctx.rt v)
-    in
-    for v = 0 to n - 1 do
-      if was_down.(v) && not down.(v) then
-        match
-          Chord.Ring.pick rng ~ok:(fun u -> u <> v && join_avail u) n
-        with
-        | Some via -> ignore (Chord.Net.join t.net ~avail:join_avail ~via v)
-        | None -> ()
-    done
+  let churn t ~rng ~was_down ~down = Chord.Net.churn t.net ~rng ~was_down ~down
 
   let mark_attack t ~into = Chord.Adversary.mark t.adv ~into
 
