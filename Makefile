@@ -81,23 +81,27 @@ workload-smoke:
 	  --trace /tmp/overlay_workload_trace.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_trace.jsonl
 
-# Run a small sweep grid twice through its checkpoint (once fresh, once
+# Run small sweep grids twice through their checkpoints (once fresh, once
 # resumed from a truncated file) and check both artifacts are
 # byte-identical and the progress trace validates (see docs/sweeps.md).
+# The run=churn grid covers the one runner no cram test runs.
 SWEEP_SPEC ?= sweep=smoke;run=sample;axis:n=64|128;var:c=1.5|2
+SWEEP_CHURN_SPEC ?= sweep=smoke-churn;run=churn;n=64;rounds=2;axis:seed=1|2;var:leave-frac=0.2|0.3
 sweep-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe
-	rm -f /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
-	  --checkpoint /tmp/overlay_sweep.jsonl \
-	  --trace /tmp/overlay_sweep_trace.jsonl > /dev/null
-	head -n 2 /tmp/overlay_sweep.jsonl > /tmp/overlay_sweep_cut.jsonl
-	printf '{"torn' >> /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
-	  --checkpoint /tmp/overlay_sweep_cut.jsonl --domains 4 > /dev/null
-	cmp /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/trace_check.exe -- --require progress \
-	  /tmp/overlay_sweep_trace.jsonl
+	for spec in '$(SWEEP_SPEC)' '$(SWEEP_CHURN_SPEC)'; do \
+	  rm -f /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl && \
+	  dune exec bin/overlay_sim.exe -- sweep --spec "$$spec" \
+	    --checkpoint /tmp/overlay_sweep.jsonl \
+	    --trace /tmp/overlay_sweep_trace.jsonl > /dev/null && \
+	  head -n 2 /tmp/overlay_sweep.jsonl > /tmp/overlay_sweep_cut.jsonl && \
+	  printf '{"torn' >> /tmp/overlay_sweep_cut.jsonl && \
+	  dune exec bin/overlay_sim.exe -- sweep --spec "$$spec" \
+	    --checkpoint /tmp/overlay_sweep_cut.jsonl --domains 4 > /dev/null && \
+	  cmp /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl && \
+	  dune exec bin/trace_check.exe -- --require progress \
+	    /tmp/overlay_sweep_trace.jsonl || exit 1; \
+	done
 
 # Run a small corrupted-topology repair twice with the same seed, check
 # the traces are byte-identical and the converged note was emitted, then

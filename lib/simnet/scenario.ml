@@ -10,7 +10,6 @@ type t = {
   corruption : Corruption.spec option;
   faults : Faults.plan option;
   retry : int;
-  workload : string option;
   backend : string option;
   chord_fingers : int option;
   chord_succs : int option;
@@ -38,7 +37,6 @@ let default =
     corruption = None;
     faults = None;
     retry = 0;
-    workload = None;
     backend = None;
     chord_fingers = None;
     chord_succs = None;
@@ -87,7 +85,7 @@ let parse_chord_knob key v k =
 let keys =
   [
     "n"; "d"; "seed"; "sampler"; "adversary"; "frac"; "lateness"; "staleness";
-    "corruption"; "faults"; "retry"; "workload"; "backend"; "chord-fingers";
+    "corruption"; "faults"; "retry"; "backend"; "chord-fingers";
     "chord-succs"; "chord-period"; "app"; "topics"; "fanout"; "session";
     "rounds"; "domains"; "trace"; "trace-format";
   ]
@@ -108,20 +106,21 @@ let edit_distance a b =
   done;
   row.(lb)
 
-let nearest_key other =
+let nearest candidates other =
   let best, dist =
     List.fold_left
       (fun (best, dist) k ->
         let d = edit_distance other k in
         if d < dist then (k, d) else (best, dist))
-      ("", max_int) keys
+      ("", max_int) candidates
   in
   (* only suggest when the typo is plausibly the key: at most half the
-     candidate's length away *)
-  if dist * 2 <= String.length best then Some best else None
+     longer name's length away *)
+  if dist * 2 <= max (String.length best) (String.length other) then Some best
+  else None
 
 let unknown_key other =
-  match nearest_key other with
+  match nearest keys other with
   | Some k -> err other (Printf.sprintf "is not a scenario key (did you mean %s?)" k)
   | None -> err other "is not a scenario key"
 
@@ -160,7 +159,6 @@ let apply t (key, v) =
   | "retry" ->
       parse_int key v (fun retry ->
           if retry < 0 then err key "must be >= 0" else Ok { t with retry })
-  | "workload" -> Ok { t with workload = Some (String.trim v) }
   | "backend" -> Ok { t with backend = Some (String.trim v) }
   | "chord-fingers" ->
       parse_chord_knob key v (fun chord_fingers -> Ok { t with chord_fingers })
@@ -244,7 +242,6 @@ let to_args t =
   Option.iter (fun c -> add "corruption" (Corruption.to_spec c)) t.corruption;
   Option.iter (fun p -> add "faults" (Faults.to_spec p)) t.faults;
   if t.retry <> 0 then add "retry" (string_of_int t.retry);
-  Option.iter (add "workload") t.workload;
   Option.iter (add "backend") t.backend;
   Option.iter (fun v -> add "chord-fingers" (string_of_int v)) t.chord_fingers;
   Option.iter (fun v -> add "chord-succs" (string_of_int v)) t.chord_succs;

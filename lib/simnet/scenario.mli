@@ -9,8 +9,8 @@
     hand its fields to the driver and its {!trace_sink} to the tracer.
 
     The spec is deliberately driver-agnostic: [retry] is a plain budget
-    (drivers map it to their own policy type), [sampler]/[adversary]/
-    [workload] are uninterpreted strings validated by the consumer, and
+    (drivers map it to their own policy type), [sampler]/[adversary]
+    are uninterpreted strings validated by the consumer, and
     unknown keys are rejected rather than ignored so a typo never
     silently drops a knob. *)
 
@@ -29,7 +29,6 @@ type t = {
       (** corrupted initial topology for {!Core.Stabilize} runs *)
   faults : Faults.plan option;  (** installed fault plan, if any *)
   retry : int;  (** recovery budget; 0 reproduces the fault-free drivers *)
-  workload : string option;  (** workload arrival spec, e.g. ["open:0.25"] *)
   backend : string option;
       (** overlay backend, e.g. ["reconfig"] or ["chord"]; uninterpreted
           here — the workload driver and sweep runners validate it *)
@@ -70,7 +69,7 @@ val of_args : ?base:t -> (string * string) list -> (t, string) result
     [d], [seed], [sampler], [adversary], [frac], [lateness], [staleness]
     (a {!Snapshots.staleness_of_string} value), [corruption] (a
     {!Corruption.parse_spec} sub-spec), [faults]
-    (a {!Faults.parse_spec} sub-spec), [retry], [workload], [backend],
+    (a {!Faults.parse_spec} sub-spec), [retry], [backend],
     [chord-fingers], [chord-succs], [chord-period] ([-1] = default, i.e.
     [None]), [app], [topics], [fanout], [session] ([ONLINE:EPOCH]),
     [rounds], [domains], [trace], [trace-format] ([jsonl], [csv] or
@@ -78,6 +77,11 @@ val of_args : ?base:t -> (string * string) list -> (t, string) result
     unknown key (suggesting the nearest valid key when the typo is
     close), an unparsable value, or a violated bound ([n <= 0],
     [retry < 0], ...) — with a message naming the key. *)
+
+val nearest : string list -> string -> string option
+(** [nearest candidates k]: the candidate closest to [k] in edit
+    distance, when it is at most half the longer name's length away — the
+    "did you mean" suggestion {!of_args} gives for an unknown key. *)
 
 val parse : ?base:t -> string -> (t, string) result
 (** Parse a [;]-separated spec string, e.g.

@@ -24,6 +24,7 @@ type t = {
   run : string;  (** per-cell runner name, e.g. ["sample"] *)
   base : Simnet.Scenario.t;
   axes : Grid.axis list;  (** in spec order (first = slowest-varying) *)
+  vars : string list;  (** names of the [var:] axes, in spec order *)
 }
 
 val parse : string -> (t, string) result
