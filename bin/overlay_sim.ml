@@ -98,9 +98,10 @@ let scenario_term ?(with_faults = true) ?(with_retry = true) ~default_n () =
   in
   let domains_arg =
     let doc =
-      "Worker domains for intra-round engine parallelism and parallel \
-       schedule generation (0 = runtime default, honoring \
-       $(b,OVERLAY_DOMAINS)).  Results are byte-identical for every value."
+      "Worker domains for generating request schedules (workload, social; \
+       0 = runtime default, honoring $(b,OVERLAY_DOMAINS)).  Engine rounds \
+       always run on one domain.  Results are byte-identical for every \
+       value."
     in
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)
   in
@@ -498,8 +499,7 @@ let churn_run ~trace src (sc : Simnet.Scenario.t) (leave_frac, join_frac) =
   let rng = src.rng in
   let net =
     Core.Churn_network.create ~trace ?faults:sc.faults
-      ~retry:(retry_policy sc) ?domains:(domains_opt sc)
-      ~rng:(Prng.Stream.split rng) ~n:sc.n ()
+      ~retry:(retry_policy sc) ~rng:(Prng.Stream.split rng) ~n:sc.n ()
   in
   let reports = ref [] in
   for _ = 1 to sc.rounds do
@@ -629,7 +629,7 @@ let dos =
       or_usage_error (fun () ->
           Core.Dos_network.create ~c:2.0 ~trace
             ?faults:sc.Simnet.Scenario.faults ~retry:(retry_policy sc)
-            ?domains:(domains_opt sc) ~rng:(Prng.Stream.split rng) ~n ())
+            ~rng:(Prng.Stream.split rng) ~n ())
     in
     let p = Core.Dos_network.period net in
     let lateness = if lateness < 0 then p else lateness in
@@ -723,8 +723,8 @@ let stabilize_run ~trace src (sc : Simnet.Scenario.t) mode =
   in
   let report =
     Core.Stabilize.run ~trace ~mode ~max_epochs:sc.rounds
-      ~retry:(retry_policy sc) ?faults:sc.faults ?domains:(domains_opt sc)
-      ~corruption ~rng:src.rng ~n:sc.n ~d:sc.d ()
+      ~retry:(retry_policy sc) ?faults:sc.faults ~corruption ~rng:src.rng
+      ~n:sc.n ~d:sc.d ()
   in
   { corruption; mode; report }
 
@@ -834,8 +834,8 @@ let churndos =
     let net =
       or_usage_error (fun () ->
           Core.Churndos_network.create ~trace
-            ?faults:sc.Simnet.Scenario.faults ?domains:(domains_opt sc)
-            ~rng:(Prng.Stream.split rng) ~n ())
+            ?faults:sc.Simnet.Scenario.faults ~rng:(Prng.Stream.split rng)
+            ~n ())
     in
     let lateness =
       if lateness < 0 then 2 * Core.Churndos_network.period net else lateness
@@ -897,8 +897,8 @@ let groupsim =
         ~fallback:(Core.Retry.enabled retry) ~cube ()
     in
     let gs =
-      Core.Group_sim.create ~trace ?faults ?domains:(domains_opt sc)
-        ~rng:(Prng.Stream.split rng) ~n ~group_of proto
+      Core.Group_sim.create ~trace ?faults ~rng:(Prng.Stream.split rng) ~n
+        ~group_of proto
     in
     let arng = Prng.Stream.split rng in
     Printf.printf
@@ -1386,7 +1386,7 @@ let chord_run ~trace src (sc : Simnet.Scenario.t)
       ?churn:(if churn > 0.0 then Some (churn, churn_epoch) else None)
       ?faults:sc.faults ~retries:sc.retry ~n:sc.n ()
   in
-  Chord.Sim.run ~trace ?domains:(domains_opt sc) ~seed:src.seed cfg
+  Chord.Sim.run ~trace ~seed:src.seed cfg
 
 let chord =
   let attack_arg =
@@ -1562,8 +1562,9 @@ let sweep subcommands =
   in
   let domains_arg =
     let doc =
-      "Worker domains (0 = runtime default, honours OVERLAY_DOMAINS); \
-       results and artifacts are identical for every value."
+      "Worker domains that run sweep cells in parallel (0 = runtime \
+       default, honours OVERLAY_DOMAINS); results and artifacts are \
+       identical for every value."
     in
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)
   in

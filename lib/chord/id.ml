@@ -1,4 +1,4 @@
-let max_bits = 30
+let max_bits = 61
 
 let check_m m =
   if m < 1 || m > max_bits then

@@ -15,10 +15,13 @@ type ('state, 'msg) protocol = {
 (* Wire format.  A Proposal travels within a group during a simulation
    round; a Super bundle carries all of one supernode's messages for one
    destination supernode and travels between groups during a
-   synchronization round. *)
+   synchronization round.  [sent] is the network round the message was
+   sent in: in the synchronous model a message that misses the next round
+   (a delay fault) is lost, so receivers discard it ([fresh]).  The stamp
+   is simulation bookkeeping and is not priced in [wire_bits]. *)
 type ('state, 'msg) wire =
-  | Proposal of 'state * (int * 'msg) list
-  | Super of int * 'msg list
+  | Proposal of { sent : int; state : 'state; out : (int * 'msg) list }
+  | Super of { sent : int; src : int; msgs : 'msg list }
 
 type phase = Sim | Sync
 
@@ -38,18 +41,18 @@ type ('state, 'msg) t = {
 }
 
 let wire_bits protocol ~id_bits = function
-  | Proposal (st, out) ->
-      protocol.state_bits st
+  | Proposal { state; out; _ } ->
+      protocol.state_bits state
       + List.fold_left
           (fun acc (_, m) -> acc + protocol.msg_bits m + id_bits)
           Simnet.Msg_size.header_bits out
-  | Super (_, msgs) ->
+  | Super { msgs; _ } ->
       List.fold_left
         (fun acc m -> acc + protocol.msg_bits m)
         (Simnet.Msg_size.header_bits + id_bits)
         msgs
 
-let create ?(trace = Simnet.Trace.null) ?faults ?domains ~rng ~n ~group_of
+let create ?(trace = Simnet.Trace.null) ?faults ?domains:_ ~rng ~n ~group_of
     protocol =
   if Array.length group_of <> n then
     invalid_arg "Group_sim.create: group_of size mismatch";
@@ -68,7 +71,7 @@ let create ?(trace = Simnet.Trace.null) ?faults ?domains ~rng ~n ~group_of
     members;
   let id_bits = Simnet.Msg_size.id_bits n in
   let engine =
-    Simnet.Engine.create ~trace ?faults ?domains ~n
+    Simnet.Engine.create ~trace ?faults ~n
       ~msg_bits:(wire_bits protocol ~id_bits) ()
   in
   (* Every member starts in sync with the (per-supernode deterministic)
@@ -112,19 +115,23 @@ let synced_members t x =
 
 let metrics t = Simnet.Engine.metrics t.engine
 
+(* Whether a message received in [round] was sent in the round before. *)
+let fresh ~round = function
+  | Proposal { sent; _ } | Super { sent; _ } -> sent = round - 1
+
 (* Collapse the Super bundles a proposer received into the supernode-level
    inbox: all synced members of a source group send identical bundles, so
    keep the copy from the lowest-id physical sender per source supernode. *)
-let supernode_inbox inbox =
+let supernode_inbox ~round inbox =
   let best = Hashtbl.create 8 in
   List.iter
     (fun (sender, w) ->
       match w with
-      | Super (src, msgs) -> (
+      | Super { src; msgs; _ } when fresh ~round w -> (
           match Hashtbl.find_opt best src with
           | Some (s0, _) when s0 <= sender -> ()
           | _ -> Hashtbl.replace best src (sender, msgs))
-      | Proposal _ -> ())
+      | Super _ | Proposal _ -> ())
     inbox;
   Hashtbl.fold
     (fun src (_, msgs) acc -> List.fold_left (fun a m -> (src, m) :: a) acc msgs)
@@ -133,12 +140,12 @@ let supernode_inbox inbox =
 let sim_round t ~blocked =
   Simnet.Engine.set_blocked t.engine (fun v -> blocked.(v));
   let proposed = Array.make (supernode_count t) false in
-  Simnet.Engine.deliver_and_step t.engine (fun ~round:_ ~me ~inbox ->
+  Simnet.Engine.deliver_and_step t.engine (fun ~round ~me ~inbox ->
       match t.node_state.(me) with
       | None -> () (* out of sync: cannot simulate this step *)
       | Some st ->
           let x = t.group_of.(me) in
-          let super_in = supernode_inbox inbox in
+          let super_in = supernode_inbox ~round inbox in
           let st', out =
             t.protocol.step ~supernode:x ~step_index:t.step_index st
               ~inbox:super_in ~rng:t.node_rng.(me)
@@ -146,7 +153,7 @@ let sim_round t ~blocked =
           proposed.(x) <- true;
           (* The proposer's own copy becomes stale; like everyone else it
              adopts a proposal in the synchronization round. *)
-          let wire = Proposal (st', out) in
+          let wire = Proposal { sent = round; state = st'; out } in
           Array.iter
             (fun u -> Simnet.Engine.send t.engine ~src:me ~dst:u wire)
             t.members.(x));
@@ -179,16 +186,16 @@ let sync_round t ~blocked =
      simulation round, or the group is lost) fall out of sync. *)
   let new_states = Array.make t.n None in
   let adopted = Array.make (supernode_count t) None in
-  Simnet.Engine.deliver_and_step t.engine (fun ~round:_ ~me ~inbox ->
+  Simnet.Engine.deliver_and_step t.engine (fun ~round ~me ~inbox ->
       let winner = ref None in
       List.iter
         (fun (sender, w) ->
           match w with
-          | Proposal (st, out) -> (
+          | Proposal { state; out; _ } when fresh ~round w -> (
               match !winner with
               | Some (s0, _, _) when s0 <= sender -> ()
-              | _ -> winner := Some (sender, st, out))
-          | Super _ -> ())
+              | _ -> winner := Some (sender, state, out))
+          | Proposal _ | Super _ -> ())
         inbox;
       match !winner with
       | None -> ()
@@ -208,7 +215,9 @@ let sync_round t ~blocked =
             (fun dst msgs ->
               if dst < 0 || dst >= supernode_count t then
                 invalid_arg "Group_sim: protocol addressed unknown supernode";
-              let bundle = Super (x, List.rev msgs) in
+              let bundle =
+                Super { sent = round; src = x; msgs = List.rev msgs }
+              in
               Array.iter
                 (fun u -> Simnet.Engine.send t.engine ~src:me ~dst:u bundle)
                 t.members.(dst))

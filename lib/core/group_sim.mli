@@ -60,9 +60,9 @@ val create :
     supernode round.  [faults] is handed to the engine: dropped proposals
     or bundles degrade members out of sync exactly like blocking does, and
     crashed members stop proposing — the redundancy argument of Lemma 14
-    then decides whether the group survives.  [domains] bounds the
-    engine's worker domains (default {!Parallel.default_domains}); runs
-    are byte-identical for every value. *)
+    then decides whether the group survives.  [domains] is ignored: the
+    engine runs every round on the calling domain.  It is kept so
+    existing callers still compile. *)
 
 val supernode_count : _ t -> int
 val network_rounds_total : _ t -> int

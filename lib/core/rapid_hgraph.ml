@@ -100,7 +100,7 @@ let run ?(eps = 0.5) ?(c = 2.0) ?(alpha = 1.0) ?(trace = Trace.null)
 type engine_msg = Request | Response of int
 
 let run_on_engine ?(eps = 0.5) ?(c = 2.0) ?(alpha = 1.0)
-    ?(trace = Trace.null) ?faults ?domains ~rng g =
+    ?(trace = Trace.null) ?faults ~rng g =
   let n = Hgraph.n g in
   let d = Hgraph.degree g in
   let t = Params.iterations_hgraph ~alpha ~d ~n in
@@ -110,7 +110,7 @@ let run_on_engine ?(eps = 0.5) ?(c = 2.0) ?(alpha = 1.0)
     | Request -> Msg_size.ids_msg ~id_bits ~count:1
     | Response _ -> Msg_size.ids_msg ~id_bits ~count:1
   in
-  let eng = Simnet.Engine.create ~trace ?faults ?domains ~n ~msg_bits () in
+  let eng = Simnet.Engine.create ~trace ?faults ~n ~msg_bits () in
   let node_rng = Prng.Stream.split_n rng n in
   let underflows = ref 0 in
   let m = Array.init n (fun _ -> Multiset.create ~capacity:schedule.(0) ()) in

@@ -40,7 +40,6 @@ val run_on_engine :
   ?alpha:float ->
   ?trace:Simnet.Trace.t ->
   ?faults:Simnet.Faults.plan ->
-  ?domains:int ->
   rng:Prng.Stream.t ->
   Topology.Hgraph.t ->
   Sampling_result.t

@@ -6,44 +6,22 @@ type losses = {
   subset_lost : int;
 }
 
-(* ---------- sharded struct-of-arrays round core ----------
+(* ---------- staging buffer and counting-sort merge ----------
 
-   Nodes are split into K = ceil(n / 2^shard_bits) destination shards.
-   A send is appended to the staging lane for its (sender-shard,
-   dest-shard) pair: three parallel planes (srcs, dsts, msgs) with a fill
-   pointer, grown by doubling and reused across rounds.  The int planes
-   are Bigarrays — unboxed, outside the scanned heap, and safely shared
-   across domains; the msgs plane is an [Obj.t array] so one immediate
+   A send appends to one staging buffer: three parallel planes (srcs,
+   dsts, msgs) with a fill pointer, grown by doubling and reused across
+   rounds.  The int planes are Bigarrays — unboxed and outside the
+   scanned heap; the msgs plane is an [Obj.t array] so one immediate
    dummy ([Obj.repr 0]) serves every message type (a polymorphic ['msg]
    dummy would tempt the compiler into flat float arrays) and clearing a
    consumed slot is a plain fill, so no round retains message payloads it
    already delivered.
 
-   Delivery merges each dest shard's column of K lanes with a counting
-   sort: count per-destination arrivals, prefix-sum into offsets, then
-   scatter into one contiguous (srcs, msgs) run per shard.  A node's
-   inbox is then the slice [offs.(d) .. offs.(d+1)) of its shard — a
-   linear sweep instead of n random mailbox hops.
-
-   Determinism: the scatter walks lanes in (sender-shard asc, push-order
-   asc) order, so a destination's inbox order is "sender shard first,
-   then send order".  Every driver in this repository sends only from the
-   compute step with [~src:me], and compute runs over ascending node ids,
-   so this equals the historical global send order at ANY shard count and
-   ANY domain count — same-seed traces are byte-identical whether the
-   round ran on 1 domain or 8.  (A manual out-of-compute send with
-   descending [src] across shard boundaries is the one case where the
-   order differs from strict chronology; the .mli documents the order
-   contract as sender-shard-major.)
-
-   Domain parallelism: with [domains > 1] the merge phase (and, on the
-   fault-free fast paths, inbox construction / sharded compute) runs one
-   shard per task via [Parallel.iter].  Each task touches only its own
-   shard's planes and its own row of lanes, so the phases are data-race
-   free, and the merged order above is position-determined — parallelism
-   cannot reorder anything.  Fault rolls, metrics, and trace emission
-   stay sequential: the fault stream's consumption must remain a pure
-   function of the traffic, in global destination order. *)
+   Delivery merges the buffer with a counting sort: count per-destination
+   arrivals, prefix-sum into offsets, then scatter into one contiguous
+   (srcs, msgs) run.  A node's inbox is the run [offs.(d) .. offs.(d+1)).
+   The scatter walks the buffer in push order, so every inbox is in send
+   order. *)
 
 type iplane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -52,45 +30,21 @@ let iplane len : iplane =
 
 let obj_nil : Obj.t = Obj.repr 0
 
-type lane = {
-  mutable l_srcs : iplane;
-  mutable l_dsts : iplane;
-  mutable l_msgs : Obj.t array;
-  mutable l_len : int;
-  mutable l_cap : int;
-}
-
-type shard = {
-  sh_base : int;
-  sh_size : int;
-  sh_counts : iplane; (* per-dst arrival counts, reused as scatter cursors *)
-  sh_offs : iplane; (* sh_size + 1 prefix offsets into the merged planes *)
-  mutable sh_srcs : iplane; (* merged arrivals, grouped by destination *)
-  mutable sh_msgs : Obj.t array;
-  mutable sh_cap : int;
-  mutable sh_len : int;
-}
-
-(* A node's merged inbox as a zero-allocation window over its shard's
-   planes; reused across nodes, valid only during the compute callback. *)
-type 'msg slice = {
-  mutable s_srcs : iplane;
-  mutable s_msgs : Obj.t array;
-  mutable s_lo : int;
-  mutable s_hi : int;
-}
-
 type 'msg t = {
   n : int;
   msg_bits : 'msg -> int;
-  shard_bits : int;
-  shard_count : int;
-  shards : shard array;
-  lanes : lane array; (* shard_count^2, row-major by sender shard *)
-  domains : int;
-  (* Hosted engines (Runtime.engine) share the runtime's fault handle and
-     leave crash/recover ticking to it. *)
-  owns_tick : bool;
+  (* staging buffer; its capacity is [Array.length st_msgs] *)
+  mutable st_srcs : iplane;
+  mutable st_dsts : iplane;
+  mutable st_msgs : Obj.t array;
+  mutable st_len : int;
+  (* merge planes: per-dst arrival counts (reused as scatter cursors),
+     n + 1 prefix offsets, and the merged arrivals grouped by destination
+     (capacity [Array.length m_msgs]) *)
+  counts : iplane;
+  offs : iplane;
+  mutable m_srcs : iplane;
+  mutable m_msgs : Obj.t array;
   mutable round : int;
   mutable blocked : int -> bool;
   (* Messages held back by a delay fault, keyed by destination:
@@ -98,14 +52,12 @@ type 'msg t = {
      fault fires, so fault-free million-node runs never pay n empty
      lists. *)
   mutable delayed : (int * int * 'msg) list array;
-  (* Reusable inbox-list cells for the list-based delivery path; [[||]]
-     until that path first runs (the flat path never allocates them). *)
+  (* Reusable inbox-list cells; [[||]] until the first delivery. *)
   mutable inboxes : (int * 'msg) list array;
-  (* Destinations whose [inboxes] cell was set this round (slow path), so
-     the post-compute clear touches exactly those. *)
+  (* Destinations whose [inboxes] cell was set this round, so the
+     post-compute clear touches exactly those. *)
   mutable touched : int array;
   mutable touched_len : int;
-  mutable cleanup : [ `None | `Offs | `Touched ];
   (* Whether any [send] was attempted this round; a [set_blocked] after that
      point would mis-apply the blocking rule to already-queued messages. *)
   mutable sent_this_round : bool;
@@ -121,63 +73,30 @@ type 'msg t = {
 
 let nobody_blocked _ = false
 
-(* 2^14 destinations per shard keeps a shard's merged planes and offset
-   table L2-resident while bounding the lane table at K^2 = 4096 records
-   for n = 10^6.  OVERLAY_SHARD_BITS overrides for tests that want many
-   shards at small n. *)
-let default_shard_bits () =
-  let bits =
-    match Sys.getenv_opt "OVERLAY_SHARD_BITS" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with Some b -> b | None -> 14)
-    | None -> 14
-  in
-  min 20 (max 4 bits)
-
-let make ?(metrics = true) ?(trace = Trace.null) ?shard_bits ~domains ~faults
-    ~owns_tick ~n ~msg_bits () =
+let create ?(metrics = true) ?(trace = Trace.null) ?faults ~n ~msg_bits () =
   if n <= 0 then invalid_arg "Engine.create: n <= 0";
-  let shard_bits =
-    match shard_bits with
-    | Some b -> min 20 (max 4 b)
-    | None -> default_shard_bits ()
-  in
-  let size = 1 lsl shard_bits in
-  let shard_count = (n + size - 1) / size in
-  let shards =
-    Array.init shard_count (fun s ->
-        let base = s * size in
-        let sz = min size (n - base) in
-        {
-          sh_base = base;
-          sh_size = sz;
-          sh_counts = iplane sz;
-          sh_offs = iplane (sz + 1);
-          sh_srcs = iplane 0;
-          sh_msgs = [||];
-          sh_cap = 0;
-          sh_len = 0;
-        })
-  in
-  let lanes =
-    Array.init (shard_count * shard_count) (fun _ ->
-        { l_srcs = iplane 0; l_dsts = iplane 0; l_msgs = [||]; l_len = 0; l_cap = 0 })
+  let faults =
+    match faults with
+    | Some plan when not (Faults.is_none plan) -> Some (Faults.install plan ~n)
+    | _ -> None
   in
   {
     n;
     msg_bits;
-    shard_bits;
-    shard_count;
-    shards;
-    lanes;
-    domains = max 1 domains;
-    owns_tick;
+    st_srcs = iplane 0;
+    st_dsts = iplane 0;
+    st_msgs = [||];
+    st_len = 0;
+    counts = iplane n;
+    offs = iplane (n + 1);
+    m_srcs = iplane 0;
+    m_msgs = [||];
     round = 0;
     blocked = nobody_blocked;
     delayed = [||];
     inboxes = [||];
     touched = [||];
     touched_len = 0;
-    cleanup = `None;
     sent_this_round = false;
     faults;
     lost_dropped = 0;
@@ -189,25 +108,8 @@ let make ?(metrics = true) ?(trace = Trace.null) ?shard_bits ~domains ~faults
     trace;
   }
 
-let create ?metrics ?trace ?faults ?domains ?shard_bits ~n ~msg_bits () =
-  let faults =
-    match faults with
-    | Some plan when not (Faults.is_none plan) -> Some (Faults.install plan ~n)
-    | _ -> None
-  in
-  let domains =
-    match domains with Some d -> d | None -> Parallel.default_domains ()
-  in
-  make ?metrics ?trace ?shard_bits ~domains ~faults ~owns_tick:true ~n ~msg_bits ()
-
-let create_hosted ?metrics ?shard_bits ~trace ~domains ~faults ~n ~msg_bits () =
-  make ?metrics ~trace ?shard_bits ~domains ~faults ~owns_tick:false ~n ~msg_bits
-    ()
-
 let n t = t.n
 let round t = t.round
-let domains t = t.domains
-let shard_count t = t.shard_count
 
 let losses t =
   {
@@ -233,23 +135,23 @@ let is_blocked t v = t.blocked v
 let check_node t v name =
   if v < 0 || v >= t.n then invalid_arg ("Engine." ^ name ^ ": node out of range")
 
-let grow_lane lane =
-  let cap' = max 64 (2 * lane.l_cap) in
+let grow_staging t =
+  let len = t.st_len in
+  let cap' = max 64 (2 * Array.length t.st_msgs) in
   let srcs' = iplane cap' and dsts' = iplane cap' in
-  if lane.l_len > 0 then begin
+  if len > 0 then begin
     Bigarray.Array1.blit
-      (Bigarray.Array1.sub lane.l_srcs 0 lane.l_len)
-      (Bigarray.Array1.sub srcs' 0 lane.l_len);
+      (Bigarray.Array1.sub t.st_srcs 0 len)
+      (Bigarray.Array1.sub srcs' 0 len);
     Bigarray.Array1.blit
-      (Bigarray.Array1.sub lane.l_dsts 0 lane.l_len)
-      (Bigarray.Array1.sub dsts' 0 lane.l_len)
+      (Bigarray.Array1.sub t.st_dsts 0 len)
+      (Bigarray.Array1.sub dsts' 0 len)
   end;
   let msgs' = Array.make cap' obj_nil in
-  Array.blit lane.l_msgs 0 msgs' 0 lane.l_len;
-  lane.l_srcs <- srcs';
-  lane.l_dsts <- dsts';
-  lane.l_msgs <- msgs';
-  lane.l_cap <- cap'
+  Array.blit t.st_msgs 0 msgs' 0 len;
+  t.st_srcs <- srcs';
+  t.st_dsts <- dsts';
+  t.st_msgs <- msgs'
 
 let send t ~src ~dst msg =
   check_node t src "send";
@@ -267,93 +169,52 @@ let send t ~src ~dst msg =
     (match t.metrics with
     | Some m -> Metrics.on_send m ~node:src ~bits:(t.msg_bits msg)
     | None -> ());
-    let lane =
-      Array.unsafe_get t.lanes
-        (((src lsr t.shard_bits) * t.shard_count) + (dst lsr t.shard_bits))
-    in
-    let len = lane.l_len in
-    if len = lane.l_cap then grow_lane lane;
-    Bigarray.Array1.unsafe_set lane.l_srcs len src;
-    Bigarray.Array1.unsafe_set lane.l_dsts len dst;
-    Array.unsafe_set lane.l_msgs len (Obj.repr msg);
-    lane.l_len <- len + 1
+    let len = t.st_len in
+    if len = Array.length t.st_msgs then grow_staging t;
+    Bigarray.Array1.unsafe_set t.st_srcs len src;
+    Bigarray.Array1.unsafe_set t.st_dsts len dst;
+    Array.unsafe_set t.st_msgs len (Obj.repr msg);
+    t.st_len <- len + 1
   end
 
 (* ---------- merge phase ---------- *)
 
-(* Merge dest shard [ki]'s column of lanes into its contiguous planes and
-   reset the lanes.  Pure per-shard work: safe to run one task per shard. *)
-let merge_shard t ki =
-  let sh = Array.unsafe_get t.shards ki in
-  let k = t.shard_count in
-  let counts = sh.sh_counts and offs = sh.sh_offs in
-  let base = sh.sh_base and sz = sh.sh_size in
+(* Counting-sort the staging buffer into the merge planes and empty it,
+   clearing its payload refs behind us. *)
+let merge t =
+  let counts = t.counts and offs = t.offs and len = t.st_len in
+  let dsts = t.st_dsts in
   Bigarray.Array1.fill counts 0;
-  let total = ref 0 in
-  for si = 0 to k - 1 do
-    let lane = Array.unsafe_get t.lanes ((si * k) + ki) in
-    let dsts = lane.l_dsts in
-    for i = 0 to lane.l_len - 1 do
-      let d = Bigarray.Array1.unsafe_get dsts i - base in
-      Bigarray.Array1.unsafe_set counts d (Bigarray.Array1.unsafe_get counts d + 1)
-    done;
-    total := !total + lane.l_len
+  for i = 0 to len - 1 do
+    let d = Bigarray.Array1.unsafe_get dsts i in
+    Bigarray.Array1.unsafe_set counts d (Bigarray.Array1.unsafe_get counts d + 1)
   done;
   let acc = ref 0 in
-  for d = 0 to sz - 1 do
+  for d = 0 to t.n - 1 do
     Bigarray.Array1.unsafe_set offs d !acc;
     acc := !acc + Bigarray.Array1.unsafe_get counts d
   done;
-  Bigarray.Array1.unsafe_set offs sz !acc;
+  Bigarray.Array1.unsafe_set offs t.n !acc;
   (* counts become the scatter cursors *)
-  Bigarray.Array1.blit (Bigarray.Array1.sub offs 0 sz) counts;
-  if !total > sh.sh_cap then begin
-    let cap' = max 1024 (max !total (2 * sh.sh_cap)) in
-    sh.sh_srcs <- iplane cap';
-    sh.sh_msgs <- Array.make cap' obj_nil;
-    sh.sh_cap <- cap'
+  Bigarray.Array1.blit (Bigarray.Array1.sub offs 0 t.n) counts;
+  if len > Array.length t.m_msgs then begin
+    let cap' = max 1024 (max len (2 * Array.length t.m_msgs)) in
+    t.m_srcs <- iplane cap';
+    t.m_msgs <- Array.make cap' obj_nil
   end;
-  sh.sh_len <- !total;
-  let m_srcs = sh.sh_srcs and m_msgs = sh.sh_msgs in
-  (* Scatter in (sender-shard, push-order) order — the engine's inbox
-     order contract — and clear each lane's payload refs behind us. *)
-  for si = 0 to k - 1 do
-    let lane = Array.unsafe_get t.lanes ((si * k) + ki) in
-    let dsts = lane.l_dsts and srcs = lane.l_srcs and msgs = lane.l_msgs in
-    for i = 0 to lane.l_len - 1 do
-      let d = Bigarray.Array1.unsafe_get dsts i - base in
-      let pos = Bigarray.Array1.unsafe_get counts d in
-      Bigarray.Array1.unsafe_set counts d (pos + 1);
-      Bigarray.Array1.unsafe_set m_srcs pos (Bigarray.Array1.unsafe_get srcs i);
-      Array.unsafe_set m_msgs pos (Array.unsafe_get msgs i)
-    done;
-    Array.fill msgs 0 lane.l_len obj_nil;
-    lane.l_len <- 0
-  done
+  let m_srcs = t.m_srcs and m_msgs = t.m_msgs in
+  let srcs = t.st_srcs and msgs = t.st_msgs in
+  for i = 0 to len - 1 do
+    let d = Bigarray.Array1.unsafe_get dsts i in
+    let pos = Bigarray.Array1.unsafe_get counts d in
+    Bigarray.Array1.unsafe_set counts d (pos + 1);
+    Bigarray.Array1.unsafe_set m_srcs pos (Bigarray.Array1.unsafe_get srcs i);
+    Array.unsafe_set m_msgs pos (Array.unsafe_get msgs i)
+  done;
+  Array.fill msgs 0 len obj_nil;
+  t.st_len <- 0
 
-let staged_total t =
-  let total = ref 0 in
-  Array.iter (fun lane -> total := !total + lane.l_len) t.lanes;
-  !total
-
-(* Per-round domain spawning only pays for itself on real work; below
-   this many staged messages even an 8-domain merge runs sequentially. *)
-let parallel_threshold = 1 lsl 15
-
-let use_parallel t ~staged =
-  t.domains > 1 && t.shard_count > 1 && staged >= parallel_threshold
-
-let each_shard t ~parallel f =
-  if parallel then Parallel.iter ~domains:t.domains f t.shard_count
-  else
-    for ki = 0 to t.shard_count - 1 do
-      f ki
-    done
-
-(* ---------- list-based delivery (the compatibility path) ---------- *)
-
-let ensure_inboxes t =
-  if Array.length t.inboxes = 0 then t.inboxes <- Array.make t.n []
+(* ---------- delivery ---------- *)
 
 let ensure_delayed t =
   if Array.length t.delayed = 0 then t.delayed <- Array.make t.n []
@@ -368,10 +229,9 @@ let touch t dst =
   t.touched.(t.touched_len) <- dst;
   t.touched_len <- t.touched_len + 1
 
-(* The merged slice as an oldest-first [(src, msg)] list — the order the
-   list-based engine produced after its [List.rev]. *)
-let slice_to_list sh lo hi : (int * _) list =
-  let m_srcs = sh.sh_srcs and m_msgs = sh.sh_msgs in
+(* The merged run [lo, hi) as an oldest-first [(src, msg)] list. *)
+let run_to_list t lo hi : (int * _) list =
+  let m_srcs = t.m_srcs and m_msgs = t.m_msgs in
   let acc = ref [] in
   for i = hi - 1 downto lo do
     acc :=
@@ -458,57 +318,54 @@ let apply_reorder t f ~dst inbox =
       end
       else inbox
 
-(* Fast-path inbox construction for dest shard [ki]: no faults, no
-   metrics, every node computes — only the delivery-time blocked check
-   remains.  Writes only this shard's [inboxes] cells, so shards can run
-   in parallel. *)
-let build_lists_shard t ki =
-  let sh = Array.unsafe_get t.shards ki in
-  let offs = sh.sh_offs in
-  let inboxes = t.inboxes in
-  for d = 0 to sh.sh_size - 1 do
-    let lo = Bigarray.Array1.unsafe_get offs d in
-    let hi = Bigarray.Array1.unsafe_get offs (d + 1) in
-    if hi > lo then begin
-      let dst = sh.sh_base + d in
-      (* Lost per the Section 1.1 blocking rule; not a fault, not counted. *)
-      if not (t.blocked dst) then
-        Array.unsafe_set inboxes dst (slice_to_list sh lo hi)
-    end
-  done;
-  Array.fill sh.sh_msgs 0 sh.sh_len obj_nil
+let tick_faults t =
+  (* Crash/recover transitions fire at the round boundary, before this
+     round's deliveries. *)
+  match t.faults with
+  | None -> ()
+  | Some f ->
+      let transitions = Faults.tick f ~round:t.round in
+      if Trace.enabled t.trace then
+        List.iter
+          (fun (node, kind) ->
+            Trace.emit t.trace
+              (Trace.Fault
+                 {
+                   kind = (match kind with `Crash -> "crash" | `Recover -> "recover");
+                   round = t.round;
+                   fields = [ ("node", Trace.Int node) ];
+                 }))
+          transitions
 
-(* Full per-destination delivery: crash / blocked / subset accounting,
-   matured delays, fault rolls and metrics, in global destination order so
-   the fault stream consumption is unchanged from the unsharded engine.
-   Sequential by construction. *)
-let deliver_slow t computes =
+(* Merge last round's sends and fill [t.inboxes]: per destination, in
+   ascending order so the fault stream is consumed in a fixed order,
+   apply crash / blocked / subset accounting, matured delays, fault rolls
+   and metrics.  [computes dst] says whether dst runs its compute step
+   this round; if not, the inbox content is lost (and counted). *)
+let deliver t computes =
+  tick_faults t;
+  merge t;
+  if Array.length t.inboxes = 0 then t.inboxes <- Array.make t.n [];
   let subset_lost_now = ref 0 in
   let have_delayed = Array.length t.delayed > 0 in
   for dst = 0 to t.n - 1 do
-    let ki = dst lsr t.shard_bits in
-    let sh = Array.unsafe_get t.shards ki in
-    let d = dst - sh.sh_base in
-    let lo = Bigarray.Array1.unsafe_get sh.sh_offs d in
-    let hi = Bigarray.Array1.unsafe_get sh.sh_offs (d + 1) in
+    let lo = Bigarray.Array1.unsafe_get t.offs dst in
+    let hi = Bigarray.Array1.unsafe_get t.offs (dst + 1) in
     let queued_len = hi - lo in
     (* Messages whose delay expired this round re-enter ahead of fresh
        traffic; they already passed their fault rolls when first delayed. *)
     let matured =
-      match t.faults with
-      | None -> []
-      | Some _ ->
-          if not have_delayed then []
-          else
-            let held = t.delayed.(dst) in
-            if held = [] then []
-            else begin
-              let due, still =
-                List.partition (fun (due, _, _) -> due <= t.round) held
-              in
-              t.delayed.(dst) <- still;
-              List.rev_map (fun (_, src, msg) -> (src, msg)) due
-            end
+      if not have_delayed then []
+      else
+        let held = t.delayed.(dst) in
+        if held = [] then []
+        else begin
+          let due, still =
+            List.partition (fun (due, _, _) -> due <= t.round) held
+          in
+          t.delayed.(dst) <- still;
+          List.rev_map (fun (_, src, msg) -> (src, msg)) due
+        end
     in
     if queued_len > 0 || matured <> [] then begin
       if is_crashed t dst then
@@ -522,7 +379,7 @@ let deliver_slow t computes =
         subset_lost_now := !subset_lost_now + k
       end
       else begin
-        let fresh = slice_to_list sh lo hi in
+        let fresh = run_to_list t lo hi in
         let inbox =
           match t.faults with
           | None -> fresh
@@ -554,73 +411,14 @@ let deliver_slow t computes =
          });
   (* Inbox lists hold their own (src, msg) cells; drop the merged planes'
      payload refs now so the round retains nothing it delivered. *)
-  Array.iter (fun sh -> Array.fill sh.sh_msgs 0 sh.sh_len obj_nil) t.shards
+  Array.fill t.m_msgs 0 (Bigarray.Array1.unsafe_get t.offs t.n) obj_nil
 
-let tick_faults t =
-  (* Crash/recover transitions fire at the round boundary, before this
-     round's deliveries.  Hosted engines leave this to their runtime. *)
-  match t.faults with
-  | None -> ()
-  | Some f when not t.owns_tick -> ignore f
-  | Some f ->
-      let transitions = Faults.tick f ~round:t.round in
-      if Trace.enabled t.trace then
-        List.iter
-          (fun (node, kind) ->
-            Trace.emit t.trace
-              (Trace.Fault
-                 {
-                   kind = (match kind with `Crash -> "crash" | `Recover -> "recover");
-                   round = t.round;
-                   fields = [ ("node", Trace.Int node) ];
-                 }))
-          transitions
-
-(* Merge the staged lanes and fill [t.inboxes] for this round.
-   [computes dst] says whether dst runs its compute step this round; if
-   not, the inbox content is lost (and counted). *)
-let deliver_lists t ~all_compute computes =
-  tick_faults t;
-  let staged = staged_total t in
-  let parallel = use_parallel t ~staged in
-  each_shard t ~parallel (merge_shard t);
-  ensure_inboxes t;
-  let fast =
-    all_compute
-    && (match t.faults with None -> true | Some _ -> false)
-    && match t.metrics with None -> true | Some _ -> false
-  in
-  if fast then begin
-    each_shard t ~parallel (build_lists_shard t);
-    t.cleanup <- `Offs
-  end
-  else begin
-    deliver_slow t computes;
-    t.cleanup <- `Touched
-  end
-
-(* Reset the inbox cells set this round, after compute consumed them.
-   Must run before the next merge overwrites the offset tables. *)
+(* Reset the inbox cells set this round, after compute consumed them. *)
 let clear_inboxes t =
-  (match t.cleanup with
-  | `None -> ()
-  | `Touched ->
-      for i = 0 to t.touched_len - 1 do
-        t.inboxes.(t.touched.(i)) <- []
-      done;
-      t.touched_len <- 0
-  | `Offs ->
-      Array.iter
-        (fun sh ->
-          let offs = sh.sh_offs in
-          for d = 0 to sh.sh_size - 1 do
-            if
-              Bigarray.Array1.unsafe_get offs (d + 1)
-              > Bigarray.Array1.unsafe_get offs d
-            then t.inboxes.(sh.sh_base + d) <- []
-          done)
-        t.shards);
-  t.cleanup <- `None
+  for i = 0 to t.touched_len - 1 do
+    t.inboxes.(t.touched.(i)) <- []
+  done;
+  t.touched_len <- 0
 
 let end_round t =
   let summary =
@@ -652,7 +450,7 @@ let end_round t =
   t.sent_this_round <- false
 
 let deliver_and_step t f =
-  deliver_lists t ~all_compute:true (fun _ -> true);
+  deliver t (fun _ -> true);
   let r = t.round in
   let inboxes = t.inboxes in
   for v = 0 to t.n - 1 do
@@ -669,7 +467,7 @@ let deliver_and_step_subset t ~nodes f =
       check_node t v "deliver_and_step_subset";
       member.(v) <- true)
     nodes;
-  deliver_lists t ~all_compute:false (fun v -> member.(v));
+  deliver t (fun v -> member.(v));
   let r = t.round in
   let inboxes = t.inboxes in
   Array.iter
@@ -678,65 +476,6 @@ let deliver_and_step_subset t ~nodes f =
         f ~round:r ~me:v ~inbox:inboxes.(v))
     nodes;
   clear_inboxes t;
-  end_round t
-
-(* ---------- flat delivery (the scale path) ---------- *)
-
-let slice_len s = s.s_hi - s.s_lo
-
-let slice_src s i =
-  if i < 0 || i >= slice_len s then invalid_arg "Engine.slice_src: index";
-  Bigarray.Array1.unsafe_get s.s_srcs (s.s_lo + i)
-
-let slice_msg s i =
-  if i < 0 || i >= slice_len s then invalid_arg "Engine.slice_msg: index";
-  Obj.obj (Array.unsafe_get s.s_msgs (s.s_lo + i))
-
-let slice_iter f s =
-  for i = s.s_lo to s.s_hi - 1 do
-    f
-      ~src:(Bigarray.Array1.unsafe_get s.s_srcs i)
-      (Obj.obj (Array.unsafe_get s.s_msgs i))
-  done
-
-let slice_fold f init s =
-  let acc = ref init in
-  for i = s.s_lo to s.s_hi - 1 do
-    acc :=
-      f !acc
-        ~src:(Bigarray.Array1.unsafe_get s.s_srcs i)
-        (Obj.obj (Array.unsafe_get s.s_msgs i))
-  done;
-  !acc
-
-let deliver_and_step_flat t f =
-  (match t.faults with
-  | Some _ ->
-      invalid_arg
-        "Engine.deliver_and_step_flat: fault plans need the list delivery path"
-  | None -> ());
-  (match t.metrics with
-  | Some _ -> invalid_arg "Engine.deliver_and_step_flat: requires ~metrics:false"
-  | None -> ());
-  let staged = staged_total t in
-  let parallel = use_parallel t ~staged in
-  each_shard t ~parallel (merge_shard t);
-  let r = t.round in
-  each_shard t ~parallel (fun ki ->
-      let sh = Array.unsafe_get t.shards ki in
-      let offs = sh.sh_offs in
-      let view = { s_srcs = sh.sh_srcs; s_msgs = sh.sh_msgs; s_lo = 0; s_hi = 0 } in
-      for d = 0 to sh.sh_size - 1 do
-        let me = sh.sh_base + d in
-        (* A blocked node neither computes nor receives; its slice is lost
-           per the blocking rule (uncounted, as on the list paths). *)
-        if not (t.blocked me) then begin
-          view.s_lo <- Bigarray.Array1.unsafe_get offs d;
-          view.s_hi <- Bigarray.Array1.unsafe_get offs (d + 1);
-          f ~round:r ~me ~inbox:view
-        end
-      done;
-      Array.fill sh.sh_msgs 0 sh.sh_len obj_nil);
   end_round t
 
 let metrics t =

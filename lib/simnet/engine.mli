@@ -21,23 +21,17 @@
     emits a typed {!Trace.Fault} event; without a plan the overhead is one
     [option] check per delivery.
 
-    {2 Sharded round core}
+    {2 Round core}
 
-    Internally nodes are split into K destination shards of [2^shard_bits]
-    nodes; sends stage into per-(sender-shard × dest-shard) lanes backed by
-    contiguous grow-once planes (Bigarrays for the int columns), and
-    delivery merges each dest shard's lanes with a counting sort — a linear
-    sweep per shard instead of n random mailbox hops.  With [domains > 1]
-    the merge (and the fault-free delivery paths) runs one shard per
-    worker domain.
+    Sends stage into one buffer of contiguous grow-once planes (Bigarrays
+    for the int columns), and delivery merges it with a counting sort — a
+    linear sweep instead of n random mailbox hops.  Rounds run on the
+    calling domain.
 
-    Inbox order contract: a destination receives its messages grouped by
-    sender shard (ascending), in send order within each sender shard.
-    Sends issued from the compute step with [~src:me] — every driver in
-    this repository — arrive in exactly the historical global send order,
-    so same-seed traces are byte-identical at any shard count and any
-    domain count.  Only manual out-of-compute sends interleaving multiple
-    sender shards can observe the shard grouping.
+    Inbox order contract: a destination receives its messages in send
+    order.  Under a fault plan, messages released from a delay fault come
+    first and a reorder fault may then permute the inbox; both draw from
+    the plan's stream, so same-seed runs stay byte-identical.
 
     Typical use:
     {[
@@ -64,8 +58,6 @@ val create :
   ?metrics:bool ->
   ?trace:Trace.t ->
   ?faults:Faults.plan ->
-  ?domains:int ->
-  ?shard_bits:int ->
   n:int ->
   msg_bits:('msg -> int) ->
   unit ->
@@ -76,42 +68,11 @@ val create :
     summary and the size of its blocked set; with the null trace the
     instrumentation is a single boolean check per round.  [faults] installs
     a fault plan ({!Faults.install}); omitting it, or passing a plan for
-    which {!Faults.is_none} holds, runs the fault-free engine.
-
-    [domains] (default {!Parallel.default_domains}, so [OVERLAY_DOMAINS]
-    applies) bounds the worker domains used for intra-round shard
-    parallelism; results are byte-identical for every value.  [shard_bits]
-    (default 14, clamped to [4, 20]; the [OVERLAY_SHARD_BITS] environment
-    variable overrides the default) sets the destination-shard width —
-    results are independent of it for compute-driven sends, so it is a
-    tuning/testing knob, not a semantic one. *)
-
-val create_hosted :
-  ?metrics:bool ->
-  ?shard_bits:int ->
-  trace:Trace.t ->
-  domains:int ->
-  faults:Faults.t option ->
-  n:int ->
-  msg_bits:('msg -> int) ->
-  unit ->
-  'msg t
-(** Build an engine that shares an already-installed fault handle —
-    {!Runtime.engine} uses this so an engine and its hosting runtime draw
-    from one fault stream in program order.  The hosted engine never calls
-    {!Faults.tick}: crash/recover transitions (and their trace events) are
-    the host's responsibility, once per round. *)
+    which {!Faults.is_none} holds, runs the fault-free engine. *)
 
 val n : _ t -> int
 val round : _ t -> int
 (** Index of the current round, starting at 0. *)
-
-val domains : _ t -> int
-(** The engine's worker-domain bound (at least 1). *)
-
-val shard_count : _ t -> int
-(** Number of destination shards, [ceil (n / 2^shard_bits)].  A function
-    of [n] and [shard_bits] only — never of [domains]. *)
 
 val losses : _ t -> losses
 (** Running totals of injected faults and lost inboxes since creation. *)
@@ -149,8 +110,8 @@ val deliver_and_step :
   unit
 (** Run one full round: deliver last round's messages, invoke the compute
     function for every non-blocked, non-crashed node (inbox pairs are
-    [(sender, msg)] in arrival order per the inbox order contract above;
-    messages released from a delay fault come first), then advance the
+    [(sender, msg)] in send order, messages released from a delay fault
+    first; see the inbox order contract above), then advance the
     round counter.  The compute function performs its sends via [send].
     Compute runs sequentially over ascending node ids, so the callback may
     freely share state. *)
@@ -165,42 +126,6 @@ val deliver_and_step_subset :
     model where an unprocessed inbox is overwritten next round; each such
     loss is counted as [subset_lost] and summarized per round in an
     ["engine/subset_lost"] trace note. *)
-
-(** {2 Flat delivery — the million-node path}
-
-    [deliver_and_step_flat] exposes each inbox as a {!slice}: a reused
-    window over the engine's merged per-shard planes.  A round allocates
-    nothing per message — no list cells, no tuples — and with
-    [domains > 1] the compute step itself runs one dest shard per worker
-    domain.  Same inbox contents and order as {!deliver_and_step},
-    verified by the sharded-engine equivalence tests. *)
-
-type 'msg slice
-(** A borrowed view of one node's inbox.  Valid only for the duration of
-    the compute callback it was passed to; do not store it. *)
-
-val slice_len : _ slice -> int
-val slice_src : _ slice -> int -> int
-val slice_msg : 'msg slice -> int -> 'msg
-val slice_iter : (src:int -> 'msg -> unit) -> 'msg slice -> unit
-val slice_fold : ('a -> src:int -> 'msg -> 'a) -> 'a -> 'msg slice -> 'a
-
-val deliver_and_step_flat :
-  'msg t ->
-  (round:int -> me:int -> inbox:'msg slice -> unit) ->
-  unit
-(** Run one full round on the flat path.  Requires a fault-free engine
-    created with [~metrics:false] (raises [Invalid_argument] otherwise):
-    fault rolls and metrics accounting are inherently sequential and list
-    shaped, so they live on {!deliver_and_step}.  Blocking is honored
-    exactly as on the list path.
-
-    When the engine has [domains > 1] and more than one shard, compute
-    callbacks run concurrently (one dest shard per worker).  The callback
-    must then confine itself to [me]-local state and send with [~src:me]
-    — true of every round-based protocol in this repository.  Determinism
-    is unaffected: inbox order and send order are position-determined
-    regardless of the domain count. *)
 
 val metrics : _ t -> Metrics.t
 (** Raises [Invalid_argument] if the engine was created with

@@ -28,13 +28,11 @@ type losses = {
   duplicated : int;
   delayed : int;
   crash_lost : int;
-  subset_lost : int;
 }
 
 type t = {
   trace : Trace.t;
   faults : Faults.t option;
-  domains : int;
   mutable n : int;
   mutable round : int;
   mutable epoch : int;
@@ -42,14 +40,10 @@ type t = {
   mutable lost_duplicated : int;
   mutable lost_delayed : int;
   mutable lost_crash : int;
-  (* Loss readers of the engines this runtime hosts ({!engine}); folded
-     into {!losses} so epoch accounting covers leg and message losses
-     alike. *)
-  mutable engine_losses : (unit -> Engine.losses) list;
 }
 
 let create ?(trace = Trace.null) ?faults ?(supports = all_features)
-    ?(who = "Simnet.Runtime") ?domains ~n () =
+    ?(who = "Simnet.Runtime") ~n () =
   if n <= 0 then invalid_arg (who ^ ": n <= 0");
   let faults =
     match faults with
@@ -68,13 +62,9 @@ let create ?(trace = Trace.null) ?faults ?(supports = all_features)
         Some (Faults.install plan ~n)
     | _ -> None
   in
-  let domains =
-    max 1 (match domains with Some d -> d | None -> Parallel.default_domains ())
-  in
   {
     trace;
     faults;
-    domains;
     n;
     round = 0;
     epoch = 0;
@@ -82,7 +72,6 @@ let create ?(trace = Trace.null) ?faults ?(supports = all_features)
     lost_duplicated = 0;
     lost_delayed = 0;
     lost_crash = 0;
-    engine_losses = [];
   }
 
 let trace t = t.trace
@@ -90,17 +79,8 @@ let traced t = Trace.enabled t.trace
 let plan t = Option.map Faults.plan t.faults
 let faulty t = t.faults <> None
 let n t = t.n
-let domains t = t.domains
 let round t = t.round
 let epoch t = t.epoch
-
-let engine ?metrics ?shard_bits t ~msg_bits () =
-  let eng =
-    Engine.create_hosted ?metrics ?shard_bits ~trace:t.trace ~domains:t.domains
-      ~faults:t.faults ~n:t.n ~msg_bits ()
-  in
-  t.engine_losses <- t.engine_losses @ [ (fun () -> Engine.losses eng) ];
-  eng
 
 let advance t ~rounds =
   if rounds < 0 then invalid_arg "Runtime.advance: rounds < 0";
@@ -134,24 +114,12 @@ let crashed t v =
   match t.faults with Some f -> Faults.crashed f v | None -> false
 
 let losses t =
-  List.fold_left
-    (fun acc read ->
-      let e = read () in
-      {
-        dropped = acc.dropped + e.Engine.dropped;
-        duplicated = acc.duplicated + e.Engine.duplicated;
-        delayed = acc.delayed + e.Engine.delayed;
-        crash_lost = acc.crash_lost + e.Engine.crash_lost;
-        subset_lost = acc.subset_lost + e.Engine.subset_lost;
-      })
-    {
-      dropped = t.lost_dropped;
-      duplicated = t.lost_duplicated;
-      delayed = t.lost_delayed;
-      crash_lost = t.lost_crash;
-      subset_lost = 0;
-    }
-    t.engine_losses
+  {
+    dropped = t.lost_dropped;
+    duplicated = t.lost_duplicated;
+    delayed = t.lost_delayed;
+    crash_lost = t.lost_crash;
+  }
 
 let fault_event t ~kind fields =
   if Trace.enabled t.trace then
@@ -283,6 +251,5 @@ let run_epoch t driver =
         duplicated = after.duplicated - before.duplicated;
         delayed = after.delayed - before.delayed;
         crash_lost = after.crash_lost - before.crash_lost;
-        subset_lost = after.subset_lost - before.subset_lost;
       };
   }

@@ -51,10 +51,12 @@ type t = {
           online) *)
   rounds : int;  (** rounds/epochs/windows to run; -1 = driver default *)
   domains : int;
-      (** worker domains for intra-round engine parallelism and parallel
-          schedule generation; 0 = runtime default
-          ({!Parallel.default_domains}, so [OVERLAY_DOMAINS] applies).
-          Results are byte-identical for every value. *)
+      (** worker domains for request-schedule generation (workload and
+          social runs); 0 = runtime default ([OVERLAY_DOMAINS], else the
+          recommended domain count).  Engine rounds always run on one
+          domain, and sweep cells take their worker count from
+          [overlay_sim sweep --domains].  Results are byte-identical for
+          every value. *)
   trace : string option;  (** trace sink path ([None] = no tracing) *)
   trace_format : Trace.format option;
       (** trace sink format; [None] = by [trace] path suffix

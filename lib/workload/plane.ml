@@ -237,7 +237,7 @@ let run (type p) (module B : Backend_intf.S) (module P : POLICY with type t = p)
   let rt =
     Simnet.Runtime.create ~trace ?faults:cfg.faults
       ~supports:[ `Drop; `Duplicate; `Delay; `Crash; `Recover ]
-      ~who:plan.who ?domains:cfg.domains ~n ()
+      ~who:plan.who ~n ()
   in
   let blocked = Array.make n false in
   let b =

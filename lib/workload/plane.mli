@@ -80,9 +80,9 @@ type config = {
           crashed servers count as blocked until they recover.  Reorder
           (vacuous on single-message legs) raises [Invalid_argument]. *)
   domains : int option;
-      (** worker domains for schedule generation and the runtime
-          ([None] = {!Parallel.default_domains}); results are identical
-          for every value *)
+      (** worker domains for schedule generation ([None] =
+          {!Parallel.default_domains}); results are identical for every
+          value *)
 }
 (** The environment every policy shares. *)
 

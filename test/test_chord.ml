@@ -27,7 +27,7 @@ let oracle_in_oo ~m a b x =
 
 let id_triple_gen =
   let open QCheck.Gen in
-  let* m = int_range 3 Chord.Id.max_bits in
+  let* m = int_range 3 30 in
   let* a = int_range 0 (Chord.Id.space m - 1) in
   let* b = int_range 0 (Chord.Id.space m - 1) in
   let* x = int_range 0 (Chord.Id.space m - 1) in
@@ -234,6 +234,35 @@ let test_lookup_degrades_to_succ_walk () =
   Alcotest.(check int) "oracle owner" (Chord.Ring.oracle_owner ring kid)
     o.Chord.Lookup.owner
 
+(* The widest supported id space: ids fill 61 bits, finger starts wrap
+   past 2^61, and every lookup still lands on the oracle owner. *)
+let test_lookup_at_max_bits () =
+  let n = 256 and m = Chord.Id.max_bits in
+  Alcotest.(check int) "max_bits" 61 m;
+  let ring = Chord.Ring.create ~m ~rng:(rng ()) ~n () in
+  Chord.Ring.reset_ideal ring;
+  let top = ref 0 in
+  for v = 0 to n - 1 do
+    let id = Chord.Ring.id ring v in
+    Alcotest.(check bool) "id in space" true (id >= 0 && id < Chord.Id.space m);
+    top := max !top id
+  done;
+  Alcotest.(check bool) "ids use the high bits" true (!top >= 1 lsl 60);
+  Alcotest.(check int) "finger start wraps" 0
+    (Chord.Id.finger_start ~m (Chord.Id.mask m) 0);
+  let alive = Array.make n true in
+  let rt = Simnet.Runtime.create ~n () in
+  for key = 0 to 63 do
+    let kid = Chord.Ring.key_id ring key in
+    let o =
+      Chord.Lookup.find ring ~rt ~avail:(fun _ -> true) ~from:(key mod n)
+        ~id:kid ()
+    in
+    Alcotest.(check bool) "ok" true o.Chord.Lookup.ok;
+    Alcotest.(check int) "owner_with" (Chord.Ring.owner_with ring ~alive kid)
+      o.Chord.Lookup.owner
+  done
+
 (* ---------- adversary ---------- *)
 
 let test_adversary_budget () =
@@ -414,6 +443,8 @@ let () =
           Alcotest.test_case "degrades to successor walk" `Quick
             test_lookup_degrades_to_succ_walk;
           Alcotest.test_case "self-owned key" `Quick test_lookup_self_owned_key;
+          Alcotest.test_case "m = 61 matches owner_with" `Quick
+            test_lookup_at_max_bits;
           qcheck_lookup_matches_oracle;
         ] );
       ( "adversary",

@@ -224,6 +224,27 @@ let test_sampling_protocol_under_blocking () =
           (Array.length (Core.Supernode_sampling.samples st) > 0)
   done
 
+let test_sampling_protocol_under_delay () =
+  (* A delay fault holds a message past the round after its send.  A
+     request delayed from one doubling iteration used to be served in a
+     later one, with that iteration's sibling offset, and ran off the end
+     of the bucket array.  Late messages are now discarded as lost, so the
+     run finishes and every group keeps its state. *)
+  let cube = Topology.Hypercube.create 4 in
+  let supernodes = Topology.Hypercube.node_count cube in
+  let n = 512 in
+  let proto = Core.Supernode_sampling.protocol ~cube () in
+  let faults = Simnet.Faults.make ~delay_p:0.05 ~delay_max:2 ~seed:9L () in
+  let gs =
+    Core.Group_sim.create ~faults ~rng:(rng ()) ~n
+      ~group_of:(uniform_groups ~n ~supernodes)
+      proto
+  in
+  Core.Group_sim.run_all gs ~blocked_for_round:(fun ~round:_ ->
+      Array.make n false);
+  Alcotest.(check bool) "finished" true (Core.Group_sim.finished gs);
+  Alcotest.(check (list int)) "no losses" [] (Core.Group_sim.lost_groups gs)
+
 let test_sampling_matches_direct_round_count () =
   (* The group simulation costs exactly two network rounds per supernode
      round, and the supernode protocol runs 2 ceil(log2 d) + 1 rounds —
@@ -367,6 +388,8 @@ let () =
           Alcotest.test_case "uniform" `Slow test_sampling_protocol_uniform;
           Alcotest.test_case "survives 25% blocking" `Slow
             test_sampling_protocol_under_blocking;
+          Alcotest.test_case "late messages are discarded" `Quick
+            test_sampling_protocol_under_delay;
           Alcotest.test_case "round count matches direct" `Quick
             test_sampling_matches_direct_round_count;
         ] );
