@@ -1,96 +1,115 @@
+(* the running counters of one lookup *)
+type tally = { mutable hops : int; mutable timeouts : int; mutable msgs : int }
+
 type outcome = { ok : bool; owner : int; hops : int; timeouts : int; msgs : int }
 
-exception Done of int
-
-let find ring ~rt ~avail ?(accept = fun _ -> true) ?max_hops ~from ~id () =
-  let m = Ring.m ring in
-  let max_hops = Option.value max_hops ~default:(4 * m) in
-  let hops = ref 0 and timeouts = ref 0 and msgs = ref 0 in
-  let budget_left () = !hops + !timeouts < max_hops in
-  (* one request leg out, and if the target is reachable, one reply leg
-     back; the request is charged even when it dies on the wire *)
-  let contact v =
-    incr msgs;
-    let req = Simnet.Runtime.leg rt ~dst:v () in
-    if not (req && avail v) then begin
-      incr timeouts;
-      false
+(* one request leg out, and if the target is reachable, one reply leg
+   back; the request is charged even when it dies on the wire *)
+let contact rt ~avail (t : tally) v =
+  t.msgs <- t.msgs + 1;
+  if Simnet.Runtime.leg rt ~dst:v () && avail v then begin
+    t.msgs <- t.msgs + 1;
+    if Simnet.Runtime.leg rt ~src:v () then begin
+      t.hops <- t.hops + 1;
+      true
     end
     else begin
-      incr msgs;
-      if Simnet.Runtime.leg rt ~src:v () then begin
-        incr hops;
-        true
-      end
+      t.timeouts <- t.timeouts + 1;
+      false
+    end
+  end
+  else begin
+    t.timeouts <- t.timeouts + 1;
+    false
+  end
+
+(* Insert pointer [v] into [cands.(0 .. len - 1)], kept in decreasing
+   clockwise distance from [cid], if it lies strictly inside the arc
+   (cid, cid + dtarget); return the new length.  Node ids are distinct,
+   so an equal distance means [v] is already there. *)
+let insert ring ~cid ~dtarget cands len v =
+  if v < 0 then len
+  else begin
+    let mask = Ring.mask ring in
+    let d = (Ring.id ring v - cid) land mask in
+    if d = 0 || d >= dtarget then len
+    else begin
+      let j = ref len in
+      while !j > 0 && (Ring.id ring cands.(!j - 1) - cid) land mask < d do
+        decr j
+      done;
+      if !j > 0 && cands.(!j - 1) = v then len
       else begin
-        incr timeouts;
-        false
+        Array.blit cands !j cands (!j + 1) (len - !j);
+        cands.(!j) <- v;
+        len + 1
       end
     end
-  in
-  let outcome ok owner =
-    { ok; owner; hops = !hops; timeouts = !timeouts; msgs = !msgs }
-  in
-  try
-    let cur = ref from in
-    let progressing = ref true in
-    while !progressing do
-      let nd = Ring.node ring !cur in
-      let cid = nd.Ring.id in
-      let s0 =
-        let rec first i =
-          if i >= Array.length nd.Ring.succs then -1
-          else if nd.Ring.succs.(i) >= 0 then nd.Ring.succs.(i)
-          else first (i + 1)
-        in
-        first 0
-      in
-      let owns = cid = id in
-      if owns || (s0 >= 0 && Id.in_oc cid (Ring.id ring s0) id) then begin
-        (* [cur] owns the key itself (its id is the target: the interval
-           below is open there), or believes the key falls to its successor
-           list.  An owner serves under [accept] without a contact; then
-           the successor entries are exactly the believed replica chain,
-           walked in order; if none is contactable and accepted, the lookup
-           fails here *)
-        progressing := false;
-        if owns && accept !cur then raise (Done !cur);
-        Array.iter
-          (fun cand ->
-            if cand >= 0 && budget_left () && contact cand && accept cand then
-              raise (Done cand))
-          nd.Ring.succs
-      end
-      else begin
-        (* greedy routing: every known pointer strictly inside (cur, id),
-           farthest (closest preceding the target) first; successor
-           entries ride along as the walking fallback *)
-        let dtarget = Id.dist ~m cid id in
-        let cands = ref [] in
-        let consider v =
-          if v >= 0 && not (List.mem v !cands) then begin
-            let d = Id.dist ~m cid (Ring.id ring v) in
-            if d > 0 && d < dtarget then cands := v :: !cands
-          end
-        in
-        Array.iter consider nd.Ring.fingers;
-        Array.iter consider nd.Ring.succs;
-        let cands =
-          List.sort
-            (fun a b ->
-              compare (Id.dist ~m cid (Ring.id ring b)) (Id.dist ~m cid (Ring.id ring a)))
-            !cands
-        in
-        progressing := false;
-        List.iter
-          (fun cand ->
-            if (not !progressing) && budget_left () && contact cand then begin
-              cur := cand;
-              progressing := true
-            end)
-          cands
-      end;
-      if !progressing && not (budget_left ()) then progressing := false
+  end
+
+let find ring ~rt ~avail ?(accept = fun _ -> true) ?max_hops ~from ~id () =
+  let max_hops = match max_hops with Some h -> h | None -> 4 * Ring.m ring in
+  let t : tally = { hops = 0; timeouts = 0; msgs = 0 } in
+  let cands = Array.make (Ring.nf ring + Ring.r ring) (-1) in
+  let owner = ref (-1) and cur = ref from and routing = ref true in
+  while !routing do
+    let nd = Ring.node ring !cur in
+    let cid = nd.Ring.id and succs = nd.Ring.succs in
+    let s0 = ref (-1) and i = ref 0 in
+    while !s0 < 0 && !i < Array.length succs do
+      s0 := succs.(!i);
+      incr i
     done;
-    outcome false (-1)
-  with Done owner -> outcome true owner
+    routing := false;
+    if cid = id || (!s0 >= 0 && Id.in_oc cid (Ring.id ring !s0) id) then begin
+      (* [cur] owns the key itself (its id is the target: the interval
+         below is open there), or believes the key falls to its successor
+         list.  An owner serves under [accept] without a contact; then
+         the successor entries are exactly the believed replica chain,
+         walked in order; if none is contactable and accepted, the lookup
+         fails here *)
+      if cid = id && accept !cur then owner := !cur
+      else begin
+        let k = ref 0 in
+        while !owner < 0 && !k < Array.length succs do
+          let c = succs.(!k) in
+          if
+            c >= 0
+            && t.hops + t.timeouts < max_hops
+            && contact rt ~avail t c && accept c
+          then owner := c;
+          incr k
+        done
+      end
+    end
+    else begin
+      (* greedy routing: every known pointer strictly inside (cur, id),
+         farthest (closest preceding the target) first; successor
+         entries ride along as the walking fallback *)
+      let dtarget = (id - cid) land Ring.mask ring in
+      let len = ref 0 in
+      for i = 0 to Array.length nd.Ring.fingers - 1 do
+        len := insert ring ~cid ~dtarget cands !len nd.Ring.fingers.(i)
+      done;
+      for i = 0 to Array.length succs - 1 do
+        len := insert ring ~cid ~dtarget cands !len succs.(i)
+      done;
+      let k = ref 0 in
+      while (not !routing) && !k < !len && t.hops + t.timeouts < max_hops do
+        let c = cands.(!k) in
+        if contact rt ~avail t c then begin
+          cur := c;
+          routing := true
+        end;
+        incr k
+      done
+    end;
+    if t.hops + t.timeouts >= max_hops then routing := false
+  done;
+  {
+    ok = !owner >= 0;
+    owner = !owner;
+    hops = t.hops;
+    timeouts = t.timeouts;
+    msgs = t.msgs;
+  }

@@ -52,44 +52,42 @@ let stats t = t.stats
 
 (* request/reply probe of [v], re-tried within the slice's budget *)
 let contact t ~avail v =
-  let rec go k =
-    if k >= t.attempts then false
-    else begin
+  let answered = ref false and k = ref 0 in
+  while (not !answered) && !k < t.attempts do
+    t.stats.msgs <- t.stats.msgs + 1;
+    if Simnet.Runtime.leg t.rt ~dst:v () && avail v then begin
       t.stats.msgs <- t.stats.msgs + 1;
-      let req = Simnet.Runtime.leg t.rt ~dst:v () in
-      let ok =
-        if not (req && avail v) then false
-        else begin
-          t.stats.msgs <- t.stats.msgs + 1;
-          Simnet.Runtime.leg t.rt ~src:v ()
-        end
-      in
-      if ok then true
-      else begin
-        t.stats.timeouts <- t.stats.timeouts + 1;
-        go (k + 1)
-      end
-    end
-  in
-  go 0
+      answered := Simnet.Runtime.leg t.rt ~src:v ()
+    end;
+    if not !answered then t.stats.timeouts <- t.stats.timeouts + 1;
+    incr k
+  done;
+  !answered
 
 (* v.succs := new_succ followed by new_succ's list (skipping v and holes) *)
 let install_succs t v new_succ =
-  let nd = Ring.node t.ring v in
+  let succs = (Ring.node t.ring v).Ring.succs in
   let src = (Ring.node t.ring new_succ).Ring.succs in
-  nd.Ring.succs.(0) <- new_succ;
+  succs.(0) <- new_succ;
   let j = ref 1 in
-  Array.iter
-    (fun e ->
-      if !j < Array.length nd.Ring.succs && e >= 0 && e <> v && e <> new_succ then begin
-        nd.Ring.succs.(!j) <- e;
-        incr j
-      end)
-    src;
-  while !j < Array.length nd.Ring.succs do
-    nd.Ring.succs.(!j) <- -1;
-    incr j
-  done
+  for i = 0 to Array.length src - 1 do
+    let e = src.(i) in
+    if !j < Array.length succs && e >= 0 && e <> v && e <> new_succ then begin
+      succs.(!j) <- e;
+      incr j
+    end
+  done;
+  Array.fill succs !j (Array.length succs - !j) (-1)
+
+(* the first entry of [arr] other than [v] that answers a probe; -1 if none *)
+let first_responsive t ~avail v arr =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length arr do
+    let e = arr.(!i) in
+    if e >= 0 && e <> v && contact t ~avail e then found := e;
+    incr i
+  done;
+  !found
 
 let notify t ~avail v target =
   t.stats.notifies <- t.stats.notifies + 1;
@@ -106,17 +104,10 @@ let notify t ~avail v target =
 let stabilize t ~avail v =
   let nd = Ring.node t.ring v in
   t.stats.stabilize_runs <- t.stats.stabilize_runs + 1;
-  let first_responsive arr =
-    let found = ref (-1) in
-    Array.iter
-      (fun e -> if !found < 0 && e >= 0 && e <> v && contact t ~avail e then found := e)
-      arr;
-    !found
-  in
-  let s = first_responsive nd.Ring.succs in
+  let s = first_responsive t ~avail v nd.Ring.succs in
   if s < 0 then begin
     (* whole successor list dead: degrade to the finger table *)
-    let f = first_responsive nd.Ring.fingers in
+    let f = first_responsive t ~avail v nd.Ring.fingers in
     if f < 0 then t.stats.isolated <- t.stats.isolated + 1
     else begin
       t.stats.succ_fallbacks <- t.stats.succ_fallbacks + 1;
@@ -147,7 +138,8 @@ let fix_finger t ~avail v =
     let i = nd.Ring.next_finger in
     nd.Ring.next_finger <- (i + 1) mod Ring.nf t.ring;
     t.stats.finger_probes <- t.stats.finger_probes + 1;
-    let target = Id.finger_start ~m:(Ring.m t.ring) nd.Ring.id i in
+    (* Id.finger_start, with the ring's mask; i < nf <= m *)
+    let target = (nd.Ring.id + (1 lsl i)) land Ring.mask t.ring in
     let o = Lookup.find t.ring ~rt:t.rt ~avail ~from:v ~id:target () in
     t.stats.msgs <- t.stats.msgs + o.Lookup.msgs;
     t.stats.timeouts <- t.stats.timeouts + o.Lookup.timeouts;
@@ -189,8 +181,7 @@ let tick t ~avail =
 
 let join t ~avail ~via idx =
   let nd = Ring.node t.ring idx in
-  let m = Ring.m t.ring in
-  let target = (nd.Ring.id + 1) land Id.mask m in
+  let target = (nd.Ring.id + 1) land Ring.mask t.ring in
   let o = Lookup.find t.ring ~rt:t.rt ~avail ~from:via ~id:target () in
   t.stats.msgs <- t.stats.msgs + o.Lookup.msgs;
   t.stats.timeouts <- t.stats.timeouts + o.Lookup.timeouts;

@@ -11,6 +11,7 @@ type t = {
   m : int;
   r : int;
   nf : int;
+  mask : int;  (* 2^m - 1, validated once here for the hot paths *)
   salt : int64;
   nodes : node array;
   alive : bool array;
@@ -66,12 +67,14 @@ let create ?m ?fingers ?succs ~rng ~n () =
   Array.sort (fun a b -> compare ids.(a) ids.(b)) sorted;
   let pos = Array.make n 0 in
   Array.iteri (fun p idx -> pos.(idx) <- p) sorted;
-  { m; r; nf; salt; nodes; alive = Array.make n true; sorted; pos }
+  let mask = Id.mask m in
+  { m; r; nf; mask; salt; nodes; alive = Array.make n true; sorted; pos }
 
 let n t = Array.length t.nodes
 let m t = t.m
 let r t = t.r
 let nf t = t.nf
+let mask t = t.mask
 let node t v = t.nodes.(v)
 let id t v = t.nodes.(v).id
 let key_id t key = Id.key_id ~m:t.m ~salt:t.salt key
@@ -82,8 +85,8 @@ let alive t = t.alive
 let alive_count t =
   Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.alive
 
-(* first position p (cyclically, starting at the binary-search insertion
-   point for [target]) whose node satisfies [alive]; -1 if none *)
+(* the first node (cyclically, starting at the binary-search insertion
+   point for [target]) that satisfies [alive]; -1 if none *)
 let owner_with t ~alive target =
   let len = Array.length t.sorted in
   (* smallest position with id >= target, len if none *)
@@ -92,14 +95,12 @@ let owner_with t ~alive target =
     let mid = (!lo + !hi) / 2 in
     if t.nodes.(t.sorted.(mid)).id >= target then hi := mid else lo := mid + 1
   done;
-  let start = !lo mod len in
-  let rec scan p left =
-    if left = 0 then -1
-    else
-      let v = t.sorted.(p) in
-      if alive.(v) then v else scan ((p + 1) mod len) (left - 1)
-  in
-  scan start len
+  let p = ref (!lo mod len) and left = ref len in
+  while !left > 0 && not alive.(t.sorted.(!p)) do
+    p := (!p + 1) mod len;
+    decr left
+  done;
+  if !left = 0 then -1 else t.sorted.(!p)
 
 let oracle_owner t target = owner_with t ~alive:t.alive target
 
@@ -116,19 +117,22 @@ let oracle_next t v =
 let holds t v ~key_id =
   t.alive.(v)
   &&
-  let len = Array.length t.sorted in
   let owner = oracle_owner t key_id in
   owner >= 0
   &&
-  let rec walk p left copies =
-    if copies = 0 || left = 0 then false
-    else
-      let w = t.sorted.(p) in
-      if not t.alive.(w) then walk ((p + 1) mod len) (left - 1) copies
-      else if w = v then true
-      else walk ((p + 1) mod len) (left - 1) (copies - 1)
-  in
-  walk t.pos.(owner) len t.r
+  (* walk the first [r] live members from the owner *)
+  let len = Array.length t.sorted in
+  let p = ref t.pos.(owner) and left = ref len and copies = ref t.r in
+  let found = ref false in
+  while (not !found) && !copies > 0 && !left > 0 do
+    let w = t.sorted.(!p) in
+    if t.alive.(w) then begin
+      if w = v then found := true else decr copies
+    end;
+    p := (!p + 1) mod len;
+    decr left
+  done;
+  !found
 
 let live_in_order t =
   let out = ref [] in

@@ -50,6 +50,10 @@ val r : t -> int
 val nf : t -> int
 (** Finger-table length ([<= m]). *)
 
+val mask : t -> int
+(** [2^m - 1], computed once at {!create}: clockwise distance is
+    [(b - a) land mask], without {!Id.dist}'s per-call check of [m]. *)
+
 val node : t -> int -> node
 val id : t -> int -> int
 val key_id : t -> int -> int

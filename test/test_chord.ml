@@ -263,6 +263,190 @@ let test_lookup_at_max_bits () =
       o.Chord.Lookup.owner
   done
 
+(* Node indices of [ring] in ascending id order. *)
+let sorted_nodes ring =
+  let order = Array.init (Chord.Ring.n ring) Fun.id in
+  Array.sort
+    (fun a b -> compare (Chord.Ring.id ring a) (Chord.Ring.id ring b))
+    order;
+  order
+
+(* A hand-built routing table at one node: fingers out of distance order,
+   one finger also in the successor list, and pointers outside the arc
+   (entry, target).  With every contact timing out, the [avail] calls are
+   the whole candidate list in contact order: farthest first, each node
+   once, nothing outside the arc. *)
+let test_lookup_candidate_order () =
+  let n = 32 in
+  let ring = make_ring ~succs:3 n in
+  let order = sorted_nodes ring in
+  let at k = order.((k + n) mod n) in
+  let from = at 0 in
+  let target = Chord.Ring.id ring (at 10) in
+  let nd = Chord.Ring.node ring from in
+  Array.fill nd.Chord.Ring.fingers 0 (Chord.Ring.nf ring) (-1);
+  List.iteri
+    (fun i k -> nd.Chord.Ring.fingers.(i) <- at k)
+    [ 3; 7; 20; 5; 10; 9; -2; 3 ];
+  nd.Chord.Ring.succs.(0) <- at 1;
+  nd.Chord.Ring.succs.(1) <- at 2;
+  nd.Chord.Ring.succs.(2) <- at 3;
+  let expected = List.map at [ 9; 7; 5; 3; 2; 1 ] in
+  let lookup ?max_hops () =
+    let calls = ref [] in
+    let avail v =
+      calls := v :: !calls;
+      false
+    in
+    let rt = Simnet.Runtime.create ~n () in
+    let o =
+      Chord.Lookup.find ring ~rt ~avail ?max_hops ~from ~id:target ()
+    in
+    (o, List.rev !calls)
+  in
+  let o, calls = lookup () in
+  Alcotest.(check (list int)) "farthest first, once each, in arc only"
+    expected calls;
+  Alcotest.(check bool) "fails" false o.Chord.Lookup.ok;
+  Alcotest.(check int) "owner" (-1) o.Chord.Lookup.owner;
+  Alcotest.(check int) "msgs" 6 o.Chord.Lookup.msgs;
+  Alcotest.(check int) "timeouts" 6 o.Chord.Lookup.timeouts;
+  (* budget exhaustion: three contacts, then the lookup gives up *)
+  let o, calls = lookup ~max_hops:3 () in
+  Alcotest.(check (list int)) "three farthest"
+    (List.filteri (fun i _ -> i < 3) expected)
+    calls;
+  Alcotest.(check bool) "budget fails" false o.Chord.Lookup.ok;
+  Alcotest.(check int) "budget msgs" 3 o.Chord.Lookup.msgs;
+  Alcotest.(check int) "budget timeouts" 3 o.Chord.Lookup.timeouts;
+  Alcotest.(check int) "budget hops" 0 o.Chord.Lookup.hops
+
+(* ---------- stateful model: Chord vs the oracle ---------- *)
+
+(* Random membership and maintenance histories on a small ring, checked
+   against the oracle.  Nodes [n/2 ..] start outside the membership;
+   [Join] admits one through an introducer, [Kill] removes a member (only
+   while the believed successor ring stays connected, the regime Chord's
+   stabilization is specified for), [Revive] brings a killed node back
+   through a re-join, and a join whose lookup fails leaves the node out.
+   No lookup may exceed its contact budget; after the history, a quiet
+   settling phase of maintenance must make every lookup from every live
+   node return the oracle owner. *)
+type cmd =
+  | Join of int * int  (** node pick, introducer pick *)
+  | Kill of int
+  | Revive of int * int
+  | Tick of int
+  | Lookup of int * int * int  (** entry pick, key, budget (0 = default) *)
+
+let print_cmd = function
+  | Join (v, via) -> Printf.sprintf "Join(%d,%d)" v via
+  | Kill v -> Printf.sprintf "Kill %d" v
+  | Revive (v, via) -> Printf.sprintf "Revive(%d,%d)" v via
+  | Tick k -> Printf.sprintf "Tick %d" k
+  | Lookup (e, k, b) -> Printf.sprintf "Lookup(%d,%d,%d)" e k b
+
+let cmd_gen =
+  let open QCheck.Gen in
+  let pick = int_range 0 1023 in
+  frequency
+    [
+      (2, map2 (fun v via -> Join (v, via)) pick pick);
+      (2, map (fun v -> Kill v) pick);
+      (1, map2 (fun v via -> Revive (v, via)) pick pick);
+      (3, map (fun k -> Tick k) (int_range 1 16));
+      (4, map3 (fun e k b -> Lookup (e, k, b)) pick pick (int_range 0 6));
+    ]
+
+let model_arb =
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list print_cmd))
+    ~shrink:QCheck.Shrink.(pair nil (fun cmds -> list cmds))
+    QCheck.Gen.(pair (int_range 8 32) (list_size (int_range 1 40) cmd_gen))
+
+let run_model (n, cmds) =
+  let ring = Chord.Ring.create ~rng:(rng ()) ~n () in
+  for v = n / 2 to n - 1 do
+    Chord.Ring.set_alive ring v false
+  done;
+  Chord.Ring.reset_ideal ring;
+  let rt = Simnet.Runtime.create ~n () in
+  let net = Chord.Net.create ring ~rt () in
+  let avail v = Chord.Ring.is_alive ring v in
+  let joined = Array.init n (fun v -> v < n / 2) in
+  (* the [k]-th node (cyclically) satisfying [ok], if any *)
+  let nth ok k =
+    let cands = List.filter ok (List.init n Fun.id) in
+    match cands with
+    | [] -> None
+    | _ -> Some (List.nth cands (k mod List.length cands))
+  in
+  let admit v via =
+    match nth (fun u -> u <> v && avail u) via with
+    | None -> ()
+    | Some via ->
+        Chord.Ring.set_alive ring v true;
+        joined.(v) <- true;
+        if not (Chord.Net.join net ~avail ~via v) then
+          Chord.Ring.set_alive ring v false
+  in
+  let within_budget ~budget ~from ~id =
+    let max_hops = if budget = 0 then None else Some budget in
+    let o = Chord.Lookup.find ring ~rt ~avail ?max_hops ~from ~id () in
+    let limit = Option.value max_hops ~default:(4 * Chord.Ring.m ring) in
+    o.Chord.Lookup.hops + o.Chord.Lookup.timeouts <= limit
+    && o.Chord.Lookup.msgs = (2 * o.Chord.Lookup.hops) + o.Chord.Lookup.timeouts
+    && ((not o.Chord.Lookup.ok) || avail o.Chord.Lookup.owner)
+  in
+  let step = function
+    | Join (v, via) -> (
+        match nth (fun u -> not joined.(u)) v with
+        | Some v -> admit v via
+        | None -> ())
+    | Revive (v, via) -> (
+        match nth (fun u -> joined.(u) && not (avail u)) v with
+        | Some v -> admit v via
+        | None -> ())
+    | Kill v -> (
+        match nth avail v with
+        | Some v when Chord.Ring.alive_count ring > 3 ->
+            Chord.Ring.set_alive ring v false;
+            if not (Chord.Ring.ring_connected ring) then
+              Chord.Ring.set_alive ring v true
+        | _ -> ())
+    | Tick k ->
+        for _ = 1 to k do
+          Chord.Net.tick net ~avail
+        done
+    | Lookup (e, key, budget) -> (
+        match nth avail e with
+        | Some from ->
+            if not (within_budget ~budget ~from ~id:(Chord.Ring.key_id ring key))
+            then QCheck.Test.fail_reportf "lookup of key %d from %d over budget" key from
+        | None -> ())
+  in
+  List.iter step cmds;
+  for _ = 1 to 4 * Chord.Ring.nf ring * 8 do
+    Chord.Net.tick net ~avail
+  done;
+  for from = 0 to n - 1 do
+    if avail from then
+      for key = 0 to 7 do
+        let id = Chord.Ring.key_id ring key in
+        let o = Chord.Lookup.find ring ~rt ~avail ~from ~id () in
+        if not (o.Chord.Lookup.ok && o.Chord.Lookup.owner = Chord.Ring.oracle_owner ring id)
+        then
+          QCheck.Test.fail_reportf "settled lookup of key %d from %d: ok=%b owner=%d, oracle %d"
+            key from o.Chord.Lookup.ok o.Chord.Lookup.owner
+            (Chord.Ring.oracle_owner ring id)
+      done
+  done;
+  true
+
+let qcheck_chord_model =
+  Testutil.qcheck ~name:"chord under join/kill/revive/tick matches the oracle"
+    ~count:60 model_arb run_model
+
 (* ---------- adversary ---------- *)
 
 let test_adversary_budget () =
@@ -445,7 +629,10 @@ let () =
           Alcotest.test_case "self-owned key" `Quick test_lookup_self_owned_key;
           Alcotest.test_case "m = 61 matches owner_with" `Quick
             test_lookup_at_max_bits;
+          Alcotest.test_case "candidate order and budget" `Quick
+            test_lookup_candidate_order;
           qcheck_lookup_matches_oracle;
+          qcheck_chord_model;
         ] );
       ( "adversary",
         [
