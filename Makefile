@@ -189,29 +189,34 @@ trace-bench-smoke:
 	dune exec bench/main.exe -- trace
 
 # A/B the end-to-end benchmark (perfbench/) against revision BASE on this
-# machine: check BASE out into a temporary worktree, then alternate its run
-# and this tree's run of workload W on the held-out seed 9973, PAIRS times,
-# swapping which side runs first from pair to pair.  Prints every run's
-# JSON line and report digests (identical digests mean identical results);
-# the worktree is removed afterwards.
+# machine: export BASE's committed files into a temporary directory, then
+# alternate its run and this tree's run of workload W on the held-out seed
+# 9973, PAIRS times, swapping which side runs first from pair to pair.
+# Prints every run's JSON line and report digests (identical digests mean
+# identical results), then feeds them to bench/ab_verdict.py, which prints
+# each end-to-end metric's median and IQR per side and a verdict (improved,
+# regressed or unresolved) and flags pairs whose digests differ.  The
+# temporary directory is removed afterwards.
 BASE ?= HEAD
 W ?= social-reconfig
 PAIRS ?= 3
 SECONDS ?= 25
 perf-ab:
 	@tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/base"; rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach "$$tmp/base" $(BASE) > /dev/null || exit 1; \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" || exit 1; \
 	for i in $$(seq 1 $(PAIRS)); do \
 	  if [ $$((i % 2)) = 1 ]; then order="base this"; else order="this base"; fi; \
 	  for side in $$order; do \
 	    if [ $$side = base ]; then root="$$tmp/base"; else root="$(CURDIR)"; fi; \
 	    (cd "$$root" && python3 perfbench/run.py --workload $(W) \
 	      --seed 9973 --seconds $(SECONDS) --trace 0) > "$$tmp/out" || exit 1; \
-	    echo "pair $$i $$side $$(tail -n 1 "$$tmp/out")"; \
-	    echo "pair $$i $$side $$(grep -o 'digest=[0-9a-f]*' "$$tmp/out" | sort -u | tr '\n' ' ')"; \
+	    { echo "pair $$i $$side $$(tail -n 1 "$$tmp/out")"; \
+	      echo "pair $$i $$side $$(grep -o 'digest=[0-9a-f]*' "$$tmp/out" | sort -u | tr '\n' ' ')"; \
+	    } | tee -a "$$tmp/pairs"; \
 	  done; \
-	done
+	done; \
+	python3 bench/ab_verdict.py < "$$tmp/pairs"
 
 # All the fast health checks in one target: traced-run validation, the
 # fault model under churn, the workload driver under attack, sweep
