@@ -27,15 +27,14 @@ let contact rt ~avail (t : tally) v =
    clockwise distance from [cid], if it lies strictly inside the arc
    (cid, cid + dtarget); return the new length.  Node ids are distinct,
    so an equal distance means [v] is already there. *)
-let insert ring ~cid ~dtarget cands len v =
+let insert nodes ~mask ~cid ~dtarget cands len v =
   if v < 0 then len
   else begin
-    let mask = Ring.mask ring in
-    let d = (Ring.id ring v - cid) land mask in
+    let d = (nodes.(v).Ring.id - cid) land mask in
     if d = 0 || d >= dtarget then len
     else begin
       let j = ref len in
-      while !j > 0 && (Ring.id ring cands.(!j - 1) - cid) land mask < d do
+      while !j > 0 && (nodes.(cands.(!j - 1)).Ring.id - cid) land mask < d do
         decr j
       done;
       if !j > 0 && cands.(!j - 1) = v then len
@@ -49,11 +48,15 @@ let insert ring ~cid ~dtarget cands len v =
 
 let find ring ~rt ~avail ?(accept = fun _ -> true) ?max_hops ~from ~id () =
   let max_hops = match max_hops with Some h -> h | None -> 4 * Ring.m ring in
+  (* read the node table and mask once: a hop reads every pointer's id,
+     and accessor calls across modules are not inlined in opaque
+     (dune dev-profile) builds *)
+  let nodes = Ring.nodes ring and mask = Ring.mask ring in
   let t : tally = { hops = 0; timeouts = 0; msgs = 0 } in
   let cands = Array.make (Ring.nf ring + Ring.r ring) (-1) in
   let owner = ref (-1) and cur = ref from and routing = ref true in
   while !routing do
-    let nd = Ring.node ring !cur in
+    let nd = nodes.(!cur) in
     let cid = nd.Ring.id and succs = nd.Ring.succs in
     let s0 = ref (-1) and i = ref 0 in
     while !s0 < 0 && !i < Array.length succs do
@@ -61,7 +64,7 @@ let find ring ~rt ~avail ?(accept = fun _ -> true) ?max_hops ~from ~id () =
       incr i
     done;
     routing := false;
-    if cid = id || (!s0 >= 0 && Id.in_oc cid (Ring.id ring !s0) id) then begin
+    if cid = id || (!s0 >= 0 && Id.in_oc cid nodes.(!s0).Ring.id id) then begin
       (* [cur] owns the key itself (its id is the target: the interval
          below is open there), or believes the key falls to its successor
          list.  An owner serves under [accept] without a contact; then
@@ -86,13 +89,16 @@ let find ring ~rt ~avail ?(accept = fun _ -> true) ?max_hops ~from ~id () =
       (* greedy routing: every known pointer strictly inside (cur, id),
          farthest (closest preceding the target) first; successor
          entries ride along as the walking fallback *)
-      let dtarget = (id - cid) land Ring.mask ring in
+      let dtarget = (id - cid) land mask in
       let len = ref 0 in
-      for i = 0 to Array.length nd.Ring.fingers - 1 do
-        len := insert ring ~cid ~dtarget cands !len nd.Ring.fingers.(i)
+      (* the sorted result does not depend on the insertion order; the
+         tables run nearest to farthest, so walking them backwards
+         appends most entries without a shift *)
+      for i = Array.length nd.Ring.fingers - 1 downto 0 do
+        len := insert nodes ~mask ~cid ~dtarget cands !len nd.Ring.fingers.(i)
       done;
-      for i = 0 to Array.length succs - 1 do
-        len := insert ring ~cid ~dtarget cands !len succs.(i)
+      for i = Array.length succs - 1 downto 0 do
+        len := insert nodes ~mask ~cid ~dtarget cands !len succs.(i)
       done;
       let k = ref 0 in
       while (not !routing) && !k < !len && t.hops + t.timeouts < max_hops do

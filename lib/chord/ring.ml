@@ -76,6 +76,7 @@ let r t = t.r
 let nf t = t.nf
 let mask t = t.mask
 let node t v = t.nodes.(v)
+let nodes t = t.nodes
 let id t v = t.nodes.(v).id
 let key_id t key = Id.key_id ~m:t.m ~salt:t.salt key
 let is_alive t v = t.alive.(v)

@@ -55,6 +55,9 @@ val mask : t -> int
     [(b - a) land mask], without {!Id.dist}'s per-call check of [m]. *)
 
 val node : t -> int -> node
+val nodes : t -> node array
+(** Every node's routing state, indexed by node index (not a copy). *)
+
 val id : t -> int -> int
 val key_id : t -> int -> int
 (** Hash an application key with this ring's salt. *)
