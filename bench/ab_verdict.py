@@ -10,11 +10,13 @@ Reads the pair lines `make perf-ab` prints:
     pair <i> <base|this> digest=<hex> ...
 
 and prints, for every end-to-end metric of BENCHMARK.json, the median and
-interquartile range of each side and a verdict.  The verdict is "improved"
-or "regressed" only when more than half of the pairs move the same way
-(as the metric's `better` field reads it) and this side's median lies
-outside the base's interquartile range in that direction; otherwise it is
-"unresolved".  A pair whose two sides printed different report digests is
+interquartile range of each side, the change of the medians and a verdict.
+The verdict is "improved" or "regressed" only when at least nine in ten
+pairs move the same way (as the metric's `better` field reads it; ties
+count for neither) and this side's median lies outside the base's
+interquartile range in that direction; otherwise it is "unresolved".  A
+median worse than the base's by more than the metric's `bound` is marked
+"over bound".  A pair whose two sides printed different report digests is
 flagged: the change altered a result, not just its speed.
 """
 
@@ -75,17 +77,19 @@ def verdict(spec, pairs):
     tq1, tmed, tq3 = quartiles(values["this"])
     better_side = tmed > bq3 if higher else tmed < bq1
     worse_side = tmed < bq1 if higher else tmed > bq3
-    if 2 * wins > count and better_side:
+    if 10 * wins >= 9 * count and better_side:
         word = "improved"
-    elif 2 * losses > count and worse_side:
+    elif 10 * losses >= 9 * count and worse_side:
         word = "regressed"
     else:
         word = "unresolved"
-    change = (tmed - bmed) / bmed * 100 if bmed else float("nan")
+    change = (tmed - bmed) / bmed if bmed else 0.0
+    if (-change if higher else change) > spec["bound"]:
+        word += ", over bound"
     return (f"{name:15s} {spec['better']:6s} "
-            f"base {bmed:12.4g} [{bq1:.4g}, {bq3:.4g}]  "
-            f"this {tmed:12.4g} [{tq1:.4g}, {tq3:.4g}]  "
-            f"{change:+6.1f}%  {wins}/{count} better  {word}")
+            f"base {bmed:10.4g} [{bq1:.4g}, {bq3:.4g}]  "
+            f"this {tmed:10.4g} [{tq1:.4g}, {tq3:.4g}]  "
+            f"{change * 100:+6.1f}%  {wins}/{count} better  {word}")
 
 
 def main():
