@@ -199,7 +199,7 @@ trace-bench-smoke:
 # temporary directory is removed afterwards.
 BASE ?= HEAD
 W ?= social-reconfig
-PAIRS ?= 3
+PAIRS ?= 6
 SECONDS ?= 25
 perf-ab:
 	@tmp=$$(mktemp -d); \

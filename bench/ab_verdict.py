@@ -11,13 +11,14 @@ Reads the pair lines `make perf-ab` prints:
 
 and prints, for every end-to-end metric of BENCHMARK.json, the median and
 interquartile range of each side, the change of the medians and a verdict.
-The verdict is "improved" or "regressed" only when at least nine in ten
-pairs move the same way (as the metric's `better` field reads it; ties
-count for neither) and this side's median lies outside the base's
-interquartile range in that direction; otherwise it is "unresolved".  A
-median worse than the base's by more than the metric's `bound` is marked
-"over bound".  A pair whose two sides printed different report digests is
-flagged: the change altered a result, not just its speed.
+The verdict is "improved" or "regressed" only when there are at least
+MIN_PAIRS pairs, at least nine in ten of them move the same way (as the
+metric's `better` field reads it; ties count for neither) and this side's
+median lies outside the base's interquartile range in that direction;
+otherwise it is "unresolved".  A median worse than the base's by more
+than the metric's `bound` is marked "over bound".  A pair whose two sides
+printed different report digests is flagged: the change altered a result,
+not just its speed.
 """
 
 import json
@@ -27,6 +28,9 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SIDES = ("base", "this")
+# below six pairs, every pair agreeing happens by chance alone with odds
+# above 1 in 32 (each pair a fair coin), too often to call a verdict
+MIN_PAIRS = 6
 
 
 def quartiles(xs):
@@ -77,7 +81,9 @@ def verdict(spec, pairs):
     tq1, tmed, tq3 = quartiles(values["this"])
     better_side = tmed > bq3 if higher else tmed < bq1
     worse_side = tmed < bq1 if higher else tmed > bq3
-    if 10 * wins >= 9 * count and better_side:
+    if count < MIN_PAIRS:
+        word = "unresolved (too few pairs)"
+    elif 10 * wins >= 9 * count and better_side:
         word = "improved"
     elif 10 * losses >= 9 * count and worse_side:
         word = "regressed"

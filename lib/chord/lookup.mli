@@ -7,16 +7,16 @@
     successor-list entry strictly inside the arc (current, target), each
     node once, tried farthest-first until one answers — which degrades
     gracefully to successor-walking when fingers are unknown or dead: the
-    successor entries are always in the candidate list, as the fallback.  Once the current node believes the
-    target falls to its successor list, the entries are tried in order
-    (replica walking) until one is contactable and [accept]ed.  A node
-    whose own id is the target owns it: it serves the request itself if
-    [accept]ed, and otherwise walks its successor list the same way.
+    successor entries are always in the candidate list, as the fallback.
+    Once the current node believes the target falls to its successor
+    list, the entries are tried in order (replica walking) until one is
+    contactable and [accept]ed.  A node whose own id is the target owns
+    it: it serves the request itself if [accept]ed, and otherwise walks
+    its successor list the same way.
 
-    Routing allocates nothing per hop: a lookup allocates one scratch
-    candidate array (length [nf + r], reused by every hop), its counters
-    and its {!outcome}; only the runtime's leg rolls allocate per
-    contact. *)
+    A lookup allocates one scratch candidate array (length [nf + r],
+    reused by every hop), its counters and its {!outcome}; per contact,
+    only the runtime's leg rolls allocate. *)
 
 type outcome = {
   ok : bool;
